@@ -3,20 +3,24 @@
 //
 // Usage:
 //
-//	deploy -in instance.json [-method heuristic|optimal] [-objective be|me]
-//	       [-single] [-timeout 30s] [-workers 1] [-seed 1] [-out deployment.json]
+//	deploy -in instance.json [-method heuristic|repair|anneal|optimal|portfolio]
+//	       [-objective be|me] [-single] [-timeout 30s] [-workers 1] [-seed 1]
+//	       [-ops names] [-rounds N] [-budget N] [-out deployment.json]
 //	       [-cache-dir DIR] [-trace PREFIX] [-progress] [-metrics-out FILE]
 //	       [-pprof FILE]
 //
 // The instance format is documented in internal/spec; cmd/taskgen
-// generates compatible instances. -cache-dir keeps solved deployments in a
-// content-addressed directory cache (keyed by the canonical instance hash
-// plus the solver options), so repeated invocations on the same input are
-// near-instant; the summary reports cache: hit|miss. -trace writes the
-// solver event stream to PREFIX.jsonl and a Chrome trace_event view to
-// PREFIX.trace.json (open in Perfetto or chrome://tracing); -progress
-// prints a live ticker on stderr (-q wins: a quiet run never prints
-// progress); tracing never changes the computed deployment.
+// generates compatible instances. Every method runs through solve.Run, so
+// it takes the same policy and input rules as the deployment service;
+// -timeout is the solve's context deadline. -cache-dir keeps solved
+// deployments in a content-addressed directory cache (keyed by the
+// canonical instance hash plus the solver options), so repeated
+// invocations on the same input are near-instant; the summary reports
+// cache: hit|miss. -trace writes the solver event stream to PREFIX.jsonl
+// and a Chrome trace_event view to PREFIX.trace.json (open in Perfetto or
+// chrome://tracing); -progress prints a live ticker on stderr (-q wins: a
+// quiet run never prints progress); tracing never changes the computed
+// deployment.
 package main
 
 import (
@@ -33,10 +37,10 @@ import (
 
 	"nocdeploy/internal/cache"
 	"nocdeploy/internal/core"
-	"nocdeploy/internal/engine"
 	"nocdeploy/internal/obs"
 	"nocdeploy/internal/render"
 	"nocdeploy/internal/sim"
+	"nocdeploy/internal/solve"
 	"nocdeploy/internal/spec"
 )
 
@@ -46,11 +50,11 @@ func main() {
 	var (
 		in         = flag.String("in", "-", "instance JSON file (- for stdin)")
 		out        = flag.String("out", "-", "deployment JSON output (- for stdout)")
-		method     = flag.String("method", "heuristic", "solver: heuristic, repair, anneal, optimal or portfolio")
+		method     = flag.String("method", solve.Heuristic, "solver: "+strings.Join(solve.Names(), ", "))
 		objective  = flag.String("objective", "be", "objective: be (balance) or me (minimize total)")
 		single     = flag.Bool("single", false, "single-path routing baseline")
-		timeout    = flag.Duration("timeout", 60*time.Second, "time limit for the optimal solver")
-		workers    = flag.Int("workers", 1, "parallel branch & bound workers for -method optimal (0/1 = serial, -1 = all cores)")
+		timeout    = flag.Duration("timeout", 60*time.Second, "solve deadline (0 = none)")
+		workers    = flag.Int("workers", 1, "branch & bound workers for -method optimal, batch workers for portfolio (0/1 = serial, -1 = all cores)")
 		seed       = flag.Int64("seed", 1, "heuristic tie-break seed")
 		engOps     = flag.String("ops", "", "portfolio operators, comma-separated (-method portfolio; empty = all)")
 		engRounds  = flag.Int("rounds", 0, "portfolio improvement rounds (-method portfolio; 0 = default)")
@@ -100,20 +104,32 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := core.Options{SinglePath: *single, Trace: obsSetup.Trace}
+	so := solve.Options{
+		Core:    core.Options{SinglePath: *single, Trace: obsSetup.Trace},
+		Seed:    *seed,
+		Workers: *workers,
+		Rounds:  *engRounds,
+		Budget:  *engBudget,
+	}
+	if *engOps != "" {
+		so.Ops = strings.Split(*engOps, ",")
+	}
+	if err := so.Validate(*method); err != nil {
+		log.Fatal(err)
+	}
 	switch *objective {
 	case "be":
-		opts.Objective = core.BalanceEnergy
+		so.Core.Objective = core.BalanceEnergy
 	case "me":
-		opts.Objective = core.MinimizeEnergy
+		so.Core.Objective = core.MinimizeEnergy
 	default:
 		log.Fatalf("unknown objective %q (want be or me)", *objective)
 	}
 
 	// The directory cache is keyed by the canonical instance hash plus every
-	// option that changes the answer; -timeout and -workers matter only to
-	// the exact solver (a limit-hit solve depends on both), so the other
-	// methods ignore them and stay cacheable across budget tweaks.
+	// option that changes the answer. -timeout is not one: a deadline-
+	// cancelled solve is never stored. -workers matters only to the exact
+	// solver, so the other methods stay cacheable across worker tweaks.
 	var store *cache.DirStore
 	var key string
 	cacheState := ""
@@ -127,10 +143,10 @@ func main() {
 			log.Fatal(herr)
 		}
 		key = fmt.Sprintf("%s|method=%s|obj=%s|single=%v|seed=%d", h, *method, *objective, *single, *seed)
-		if *method == "optimal" {
-			key += fmt.Sprintf("|timeout=%s|workers=%d", *timeout, *workers)
+		if *method == solve.Optimal {
+			key += fmt.Sprintf("|workers=%d", *workers)
 		}
-		if *method == "portfolio" {
+		if *method == solve.Portfolio {
 			// Engine options steer the search, so they address distinct
 			// cached answers — mirroring the service's cache-key rule.
 			key += fmt.Sprintf("|ops=%s|rounds=%d|budget=%d", *engOps, *engRounds, *engBudget)
@@ -162,51 +178,13 @@ func main() {
 		}
 	}
 	if d == nil {
-		switch *method {
-		case "heuristic":
-			d, info, err = core.Heuristic(sys, opts, *seed)
-		case "repair":
-			d, info, err = core.HeuristicWithRepair(sys, opts, *seed, 0)
-		case "anneal":
-			d, info, err = core.Anneal(sys, opts, core.AnnealOptions{Seed: *seed})
-		case "portfolio":
-			eo := engine.Options{
-				Seed:       *seed,
-				Rounds:     *engRounds,
-				NodeBudget: *engBudget,
-				Workers:    *workers,
-			}
-			var names []string
-			if *engOps != "" {
-				names = strings.Split(*engOps, ",")
-			}
-			eo.Operators, err = engine.BuildOperators(names, eo)
-			if err != nil {
-				log.Fatal(err)
-			}
-			ctx := context.Background()
-			if *timeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, *timeout)
-				defer cancel()
-			}
-			d, info, err = engine.SolveCtx(ctx, sys, opts, eo)
-		case "optimal":
-			// Warm-start branch & bound from the heuristic when it is feasible.
-			var hd *core.Deployment
-			var hinfo *core.SolveInfo
-			hd, hinfo, err = core.Heuristic(sys, opts, *seed)
-			if err != nil {
-				log.Fatal(err)
-			}
-			oo := core.OptimalOptions{TimeLimit: *timeout, RelGap: 0.01, Workers: *workers}
-			if hinfo.Feasible {
-				oo.WarmDeployment = hd
-			}
-			d, info, err = core.Optimal(sys, opts, oo)
-		default:
-			log.Fatalf("unknown method %q (want heuristic or optimal)", *method)
+		ctx := context.Background()
+		if *timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, *timeout)
+			defer cancel()
 		}
+		d, info, err = solve.Run(ctx, sys, *method, so)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	noclint [-format text|json|sarif] [-only name1,name2] [-baseline file]
-//	        [-audit] [-workers n] [patterns...]
+//	noclint [-format text|json|sarif] [-only name1,name2] [-audit]
+//	        [-workers n] [patterns...]
 //
 // Patterns default to ./... and accept the go tool's directory forms
 // ("./...", "internal/lp", "internal/..."). Analysis runs one package per
@@ -15,16 +15,11 @@
 // findings, noclint reports //lint:allow directives that carry no reason,
 // name an unknown analyzer, or no longer suppress anything.
 //
-// -baseline filters out findings recorded in a baseline file;
-// -write-baseline records the current findings into one. Baselines match
-// on (analyzer, file, message) and ignore line numbers, so they survive
-// unrelated edits.
-//
 // Exit status is the tool's contract with CI: 0 when the tree is clean,
-// 1 when findings survived the baseline, and 2 when loading or
-// type-checking failed — each failing package is named on stderr, and the
-// packages that did load are still analyzed, so one broken directory
-// degrades the run instead of blinding it.
+// 1 on any finding, and 2 when loading or type-checking failed — each
+// failing package is named on stderr, and the packages that did load are
+// still analyzed, so one broken directory degrades the run instead of
+// blinding it.
 package main
 
 import (
@@ -47,11 +42,9 @@ func run() int {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list the available analyzers and exit")
 	audit := flag.Bool("audit", false, "audit //lint:allow directives instead of running analyzers")
-	baselinePath := flag.String("baseline", "", "filter out findings recorded in this baseline file")
-	writeBaseline := flag.String("write-baseline", "", "record current findings into this baseline file and exit 0")
 	workers := flag.Int("workers", 0, "packages analyzed concurrently (0 = all cores)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: noclint [-format text|json|sarif] [-only names] [-baseline file] [-audit] [patterns...]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: noclint [-format text|json|sarif] [-only names] [-audit] [-workers n] [patterns...]\n\nAnalyzers:\n")
 		for _, a := range lint.All() {
 			fmt.Fprintf(os.Stderr, "  %-11s %s\n", a.Name, a.Doc)
 		}
@@ -100,33 +93,6 @@ func run() int {
 		findings = lint.Audit(pkgs, analyzers)
 	} else {
 		findings = lint.RunParallel(pkgs, analyzers, *workers)
-	}
-
-	if *writeBaseline != "" {
-		base := lint.NewBaseline(findings)
-		data, err := base.Marshal()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "noclint: marshaling baseline: %v\n", err)
-			return 2
-		}
-		if err := os.WriteFile(*writeBaseline, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "noclint: writing baseline: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "noclint: wrote %d baseline entries to %s\n", base.Len(), *writeBaseline)
-		if len(loadErrs) > 0 {
-			return 2
-		}
-		return 0
-	}
-
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "noclint: %v\n", err)
-			return 2
-		}
-		findings = base.Filter(findings)
 	}
 
 	if err := emit(*format, findings, analyzers); err != nil {

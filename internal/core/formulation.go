@@ -453,9 +453,6 @@ type OptimalOptions struct {
 	// full incumbent solution (stronger than WarmStart: pruning plus
 	// gap-based termination).
 	WarmDeployment *Deployment
-	// ColdChildren disables warm-starting child node LPs from the parent's
-	// optimal basis. See milp.SolveOptions.ColdChildren.
-	ColdChildren bool
 }
 
 // OptimalCtx solves problem P1 exactly (within the configured limits) and
@@ -480,14 +477,13 @@ func OptimalCtx(ctx context.Context, s *System, opts Options, oo OptimalOptions)
 		return nil, cancelledInfo(opts.now().Sub(start), tr, "optimal"), nil
 	}
 	so := milp.SolveOptions{
-		Ctx:          ctx,
-		TimeLimit:    oo.TimeLimit,
-		MaxNodes:     oo.MaxNodes,
-		RelGap:       oo.RelGap,
-		Workers:      oo.Workers,
-		ColdChildren: oo.ColdChildren,
-		Trace:        opts.Trace,
-		Clock:        opts.Clock,
+		Ctx:       ctx,
+		TimeLimit: oo.TimeLimit,
+		MaxNodes:  oo.MaxNodes,
+		RelGap:    oo.RelGap,
+		Workers:   oo.Workers,
+		Trace:     opts.Trace,
+		Clock:     opts.Clock,
 	}
 	if oo.WarmStart != nil {
 		so.Cutoff = *oo.WarmStart * (1 + 1e-6)

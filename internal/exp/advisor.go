@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -8,28 +9,13 @@ import (
 	"nocdeploy/internal/archive"
 	"nocdeploy/internal/core"
 	"nocdeploy/internal/obs"
+	"nocdeploy/internal/solve"
 )
 
 // advisorSolvers are the fixed baselines the advisor chooses between —
 // the cheap deterministic trio, so the table is a pure function of the
 // Config at benchmark-friendly cost.
-var advisorSolvers = []string{"heuristic", "repair", "anneal"}
-
-// runAdvisorSolver runs one named baseline on one instance.
-func runAdvisorSolver(name string, s *core.System, opts core.Options, seed int64) (*core.SolveInfo, error) {
-	switch name {
-	case "heuristic":
-		_, info, err := core.Heuristic(s, opts, seed)
-		return info, err
-	case "repair":
-		_, info, err := core.HeuristicWithRepair(s, opts, seed, 0)
-		return info, err
-	case "anneal":
-		_, info, err := core.Anneal(s, opts, core.AnnealOptions{Seed: seed, Iters: 800})
-		return info, err
-	}
-	return nil, fmt.Errorf("exp: unknown advisor baseline %q", name)
-}
+var advisorSolvers = []string{solve.Heuristic, solve.Repair, solve.Anneal}
 
 // RunAdvisor evaluates the archive's history-driven solver advisor
 // (archive.Advise, the engine behind the service's solver=auto) against
@@ -70,10 +56,9 @@ func RunAdvisor(cfg Config) (*Table, error) {
 		if err != nil {
 			return r, err
 		}
-		opts := core.Options{Trace: cfg.Trace}
-		seed := cfg.instanceSeed(point, rep)
+		so := solve.Options{Core: core.Options{Trace: cfg.Trace}, Seed: cfg.instanceSeed(point, rep), AnnealIters: 800}
 		for _, name := range advisorSolvers {
-			info, err := runAdvisorSolver(name, s, opts, seed)
+			_, info, err := solve.Run(context.TODO(), s, name, so)
 			if err != nil {
 				return r, err
 			}

@@ -24,6 +24,7 @@ import (
 	"nocdeploy/internal/platform"
 	"nocdeploy/internal/reliability"
 	"nocdeploy/internal/runner"
+	"nocdeploy/internal/solve"
 	"nocdeploy/internal/taskgen"
 )
 
@@ -262,20 +263,16 @@ func Build(p InstanceParams) (*core.System, error) {
 	return core.NewSystem(plat, mesh, g, rel, h)
 }
 
-// solveOptimalWarm runs the repair heuristic first and feeds it to branch
-// & bound as the incumbent, mirroring how a practitioner would use the two
-// solvers.
+// solveOptimalWarm runs solve.Run's optimal policy — branch & bound
+// warm-started from the repaired heuristic — under the Config's budgets.
 func solveOptimalWarm(s *core.System, opts core.Options, cfg Config) (*core.Deployment, *core.SolveInfo, error) {
 	opts.Trace = cfg.Trace
-	hd, hinfo, err := core.HeuristicWithRepair(s, opts, 1, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	oo := core.OptimalOptions{TimeLimit: cfg.timeLimit(), MaxNodes: cfg.MaxNodes, RelGap: 0.01}
-	if hinfo.Feasible {
-		oo.WarmDeployment = hd
-	}
-	return core.Optimal(s, opts, oo)
+	return solve.Run(context.TODO(), s, solve.Optimal, solve.Options{
+		Core:      opts,
+		Seed:      1,
+		TimeLimit: cfg.timeLimit(),
+		MaxNodes:  cfg.MaxNodes,
+	})
 }
 
 func f3(v float64) string { return fmt.Sprintf("%.3g", v) }

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -261,47 +260,6 @@ func TestSARIFRoundTrip(t *testing.T) {
 	}
 	if got := FindingsFromSARIF(&decoded); !reflect.DeepEqual(got, findings) {
 		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", got, findings)
-	}
-}
-
-// TestBaselineFilter pins baseline semantics: matching is line-insensitive
-// (the finding moved but stays accepted) and message-sensitive (a changed
-// message resurfaces).
-func TestBaselineFilter(t *testing.T) {
-	accepted := Finding{Analyzer: "rawlog", File: "a/b.go", Line: 10, Col: 2, Message: "m"}
-	base := NewBaseline([]Finding{accepted})
-
-	moved := accepted
-	moved.Line, moved.Col = 99, 1
-	changed := accepted
-	changed.Message = "other"
-	got := base.Filter([]Finding{moved, changed})
-	if len(got) != 1 || got[0].Message != "other" {
-		t.Fatalf("Filter kept %+v, want only the changed-message finding", got)
-	}
-
-	data, err := base.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := loaded.Filter([]Finding{moved, changed}); len(got) != 1 || got[0].Message != "other" {
-		t.Fatalf("after save/load, Filter kept %+v", got)
-	}
-
-	empty, err := NewBaseline(nil).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(string(empty)) != "[]" {
-		t.Errorf("empty baseline marshals to %q, want []", empty)
 	}
 }
 

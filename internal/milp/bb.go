@@ -84,14 +84,7 @@ type SolveOptions struct {
 	// Incumbent.T trajectory stamps. Nil means the wall clock; tests inject
 	// a fake clock to exercise deadline logic deterministically.
 	Clock obs.Clock
-	// ColdChildren disables warm-starting each child node's LP relaxation
-	// from its parent's optimal basis (on by default: a child differs from
-	// its parent in a single variable's bounds, so the dual simplex
-	// usually restores optimality in a handful of pivots). Results are
-	// identical either way — the basis only changes the pivot path — but
-	// the flag gives experiments and debugging a cold-start reference.
-	ColdChildren bool
-	LP           lp.Options // passed through to the LP engine
+	LP    lp.Options // passed through to the LP engine
 }
 
 // now reads the configured clock. This is the MILP engine's only approved
@@ -171,8 +164,10 @@ func relGap(obj, bound float64) float64 {
 
 // node is one branch & bound subproblem: bound overrides relative to the
 // root plus the parent's LP bound used for best-first ordering and the
-// parent's optimal basis (nil at the root or under ColdChildren) used to
-// warm-start the node's own relaxation.
+// parent's optimal basis (nil at the root) used to warm-start the node's
+// own relaxation: a child differs from its parent in one variable's
+// bounds, so the dual simplex usually restores optimality in a handful of
+// pivots.
 type node struct {
 	overrides map[int][2]float64
 	bound     float64
@@ -290,14 +285,12 @@ func (m *Model) solveSerial(opts SolveOptions) (*Result, error) {
 			lo[j], hi[j] = b[0], b[1]
 		}
 		base.Lower, base.Upper = lo, hi
+		// Warm-start from the parent's basis and snapshot this node's own
+		// basis for its children. Determinism holds: the solution is a
+		// pure function of the node (overrides + parent basis).
 		lpo := opts.LP
-		if !opts.ColdChildren {
-			// Warm-start from the parent's basis and snapshot this node's
-			// own basis for its children. Determinism holds: the solution is
-			// a pure function of the node (overrides + parent basis).
-			lpo.WantBasis = true
-			lpo.WarmBasis = nd.basis
-		}
+		lpo.WantBasis = true
+		lpo.WarmBasis = nd.basis
 		sol, err := lp.Solve(base, lpo)
 		if err != nil {
 			return nil, err

@@ -236,15 +236,12 @@ func (m *Model) solveParallel(opts SolveOptions, workers int) (*Result, error) {
 					lo[j], hi[j] = b[0], b[1]
 				}
 				base.Lower, base.Upper = lo, hi
+				// Warm-start from the parent's basis; the node's LP solution
+				// stays a pure function of the node itself (overrides +
+				// parent basis), so the proven optimum is schedule-independent.
 				lpo := opts.LP
-				if !opts.ColdChildren {
-					// Warm-start from the parent's basis; the node's LP
-					// solution stays a pure function of the node itself
-					// (overrides + parent basis), so the proven optimum is
-					// schedule-independent exactly as in the cold search.
-					lpo.WantBasis = true
-					lpo.WarmBasis = nd.basis
-				}
+				lpo.WantBasis = true
+				lpo.WarmBasis = nd.basis
 				sol, err := lp.Solve(base, lpo)
 
 				s.mu.Lock()

@@ -11,9 +11,9 @@
 //     solver options — share one solve in flight and then one cached
 //     solution (spec.Instance.CanonicalHash is the key);
 //   - cancellation: per-request deadlines flow as a context through
-//     HeuristicCtx / AnnealCtx / OptimalCtx, so an expired request stops
-//     branch & bound mid-tree and returns the best incumbent with the
-//     Cancelled flag; cancelled (partial) results are never cached.
+//     solve.Run, so an expired request stops branch & bound mid-tree and
+//     returns the best incumbent with the Cancelled flag; cancelled
+//     (partial) results are never cached.
 package service
 
 import (
@@ -33,16 +33,17 @@ import (
 	"nocdeploy/internal/engine"
 	"nocdeploy/internal/obs"
 	"nocdeploy/internal/runner"
+	"nocdeploy/internal/solve"
 	"nocdeploy/internal/spec"
 )
 
-// Solver names accepted by the API, matching cmd/deploy's -method values.
+// Solver names accepted by the API: solve.Names, plus SolverAuto.
 const (
-	SolverHeuristic = "heuristic"
-	SolverRepair    = "repair"
-	SolverAnneal    = "anneal"
-	SolverOptimal   = "optimal"
-	SolverPortfolio = "portfolio"
+	SolverHeuristic = solve.Heuristic
+	SolverRepair    = solve.Repair
+	SolverAnneal    = solve.Anneal
+	SolverOptimal   = solve.Optimal
+	SolverPortfolio = solve.Portfolio
 
 	// SolverAuto asks the archive advisor to pick the solver from this
 	// instance's history (see resolveAuto). It is resolved to a concrete
@@ -50,15 +51,6 @@ const (
 	// the solver switch.
 	SolverAuto = "auto"
 )
-
-// ValidSolver reports whether name is an accepted solver selection.
-func ValidSolver(name string) bool {
-	switch name {
-	case SolverHeuristic, SolverRepair, SolverAnneal, SolverOptimal, SolverPortfolio:
-		return true
-	}
-	return false
-}
 
 // Service errors. ErrBadRequest wraps client mistakes (HTTP 400),
 // ErrNoSolution reports a solver that finished without any deployment
@@ -179,8 +171,8 @@ func (r *SolveRequest) normalize() error {
 	if r.Solver == "" {
 		r.Solver = SolverHeuristic
 	}
-	if !ValidSolver(r.Solver) {
-		return fmt.Errorf("%w: unknown solver %q", ErrBadRequest, r.Solver)
+	if err := r.solveOptions(nil).Validate(r.Solver); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	switch r.Objective {
 	case "", "be":
@@ -192,20 +184,10 @@ func (r *SolveRequest) normalize() error {
 	if r.Seed == 0 {
 		r.Seed = 1
 	}
-	if r.Solver == SolverPortfolio {
-		if err := engine.ValidOperators(r.EngineOps); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		// Canonicalize "full portfolio" so an explicit full list and an
-		// empty selection share one cache entry.
-		if len(r.EngineOps) == 0 {
-			r.EngineOps = engine.OperatorNames()
-		}
-		if r.EngineRounds < 0 || r.EngineBudget < 0 {
-			return fmt.Errorf("%w: engine rounds/budget must be non-negative", ErrBadRequest)
-		}
-	} else if len(r.EngineOps) != 0 || r.EngineRounds != 0 || r.EngineBudget != 0 {
-		return fmt.Errorf("%w: engine options require solver=portfolio", ErrBadRequest)
+	// Canonicalize "full portfolio" so an explicit full list and an empty
+	// selection share one cache entry.
+	if r.Solver == SolverPortfolio && len(r.EngineOps) == 0 {
+		r.EngineOps = engine.OperatorNames()
 	}
 	if len(r.Instance.Graph.Tasks) == 0 {
 		return fmt.Errorf("%w: instance has no tasks", ErrBadRequest)
@@ -213,12 +195,22 @@ func (r *SolveRequest) normalize() error {
 	return nil
 }
 
-func (r *SolveRequest) coreOptions(tr *obs.Trace) core.Options {
-	opts := core.Options{Trace: tr}
-	if r.Objective == "me" {
-		opts.Objective = core.MinimizeEnergy
+// solveOptions maps the request onto solve.Run's options. One pool worker
+// already hosts the solve, so the solver runs on one inner worker and
+// service throughput stays governed by the service pool.
+func (r *SolveRequest) solveOptions(tr *obs.Trace) solve.Options {
+	o := solve.Options{
+		Core:    core.Options{Trace: tr},
+		Seed:    r.Seed,
+		Workers: 1,
+		Ops:     r.EngineOps,
+		Rounds:  r.EngineRounds,
+		Budget:  r.EngineBudget,
 	}
-	return opts
+	if r.Objective == "me" {
+		o.Core.Objective = core.MinimizeEnergy
+	}
+	return o
 }
 
 // cacheKey is the content address of the request: the canonical instance
@@ -449,63 +441,7 @@ func (s *Service) runSolve(ctx context.Context, req SolveRequest, key string, tr
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	opts := req.coreOptions(tr)
-	var (
-		d    *core.Deployment
-		info *core.SolveInfo
-	)
-	switch req.Solver {
-	case SolverHeuristic:
-		d, info, err = core.HeuristicCtx(ctx, sys, opts, req.Seed)
-	case SolverRepair:
-		d, info, err = core.HeuristicWithRepairCtx(ctx, sys, opts, req.Seed, 0)
-	case SolverAnneal:
-		d, info, err = core.AnnealCtx(ctx, sys, opts, core.AnnealOptions{Seed: req.Seed})
-	case SolverPortfolio:
-		// One pool worker already hosts this solve; the engine races its
-		// batch serially-reduced on one inner worker so service throughput
-		// stays governed by the service pool, not nested parallelism.
-		eo := engine.Options{
-			Seed:       req.Seed,
-			Rounds:     req.EngineRounds,
-			NodeBudget: req.EngineBudget,
-			Workers:    1,
-		}
-		eo.Operators, err = engine.BuildOperators(req.EngineOps, eo)
-		if err == nil {
-			d, info, err = engine.SolveCtx(ctx, sys, opts, eo)
-		}
-	case SolverOptimal:
-		// Warm-start branch & bound from the repaired heuristic, like
-		// cmd/deploy: a seeded incumbent both prunes the tree and guarantees
-		// a deadline-cancelled solve still returns a deployment.
-		var hd *core.Deployment
-		var hinfo *core.SolveInfo
-		hd, hinfo, err = core.HeuristicWithRepairCtx(ctx, sys, opts, req.Seed, 0)
-		if err == nil {
-			if hinfo.Cancelled {
-				d, info = hd, hinfo
-				break
-			}
-			oo := core.OptimalOptions{RelGap: 0.01}
-			if hinfo.Feasible {
-				oo.WarmDeployment = hd
-			}
-			d, info, err = core.OptimalCtx(ctx, sys, opts, oo)
-			if err == nil && d == nil && info != nil && info.Cancelled && hinfo.Feasible {
-				// Cancelled before branch & bound could seed its incumbent
-				// (the deadline died in model build or the warm-start LP):
-				// the repaired heuristic deployment is still a valid answer.
-				d = hd
-				info = &core.SolveInfo{
-					Feasible:  true,
-					Objective: hinfo.Objective,
-					Cancelled: true,
-					Runtime:   time.Since(start),
-				}
-			}
-		}
-	}
+	d, info, err := solve.Run(ctx, sys, req.Solver, req.solveOptions(tr))
 	if err != nil {
 		return nil, err
 	}
