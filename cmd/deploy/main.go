@@ -54,7 +54,7 @@ func main() {
 		objective  = flag.String("objective", "be", "objective: be (balance) or me (minimize total)")
 		single     = flag.Bool("single", false, "single-path routing baseline")
 		timeout    = flag.Duration("timeout", 60*time.Second, "solve deadline (0 = none)")
-		workers    = flag.Int("workers", 1, "branch & bound workers for -method optimal, batch workers for portfolio (0/1 = serial, -1 = all cores)")
+		workers    = flag.Int("workers", 1, "branch & bound workers for -method optimal (0 or 1 = one, -1 = all cores), batch workers for portfolio (0 or -1 = all cores)")
 		seed       = flag.Int64("seed", 1, "heuristic tie-break seed")
 		engOps     = flag.String("ops", "", "portfolio operators, comma-separated (-method portfolio; empty = all)")
 		engRounds  = flag.Int("rounds", 0, "portfolio improvement rounds (-method portfolio; 0 = default)")

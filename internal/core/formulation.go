@@ -440,9 +440,9 @@ type OptimalOptions struct {
 	TimeLimit time.Duration
 	MaxNodes  int
 	RelGap    float64
-	// Workers is the number of parallel branch & bound workers: 0 or 1
-	// keeps the deterministic serial search, n > 1 searches the tree
-	// concurrently (same proven optimum, run-to-run node counts vary),
+	// Workers is the number of branch & bound workers sharing the one
+	// search: 0 or 1 is one worker and deterministic, n > 1 searches the
+	// tree concurrently (same proven optimum, run-to-run node counts vary),
 	// negative uses all cores. See milp.SolveOptions.Workers.
 	Workers int
 	// WarmStart, if non-nil, supplies a heuristic objective value used as a

@@ -4,6 +4,8 @@ import (
 	"container/heap"
 	"context"
 	"math"
+	"runtime"
+	"sync"
 	"time"
 
 	"nocdeploy/internal/lp"
@@ -65,14 +67,12 @@ type SolveOptions struct {
 	// Status follows the usual limit semantics (Feasible with an incumbent,
 	// Limit without).
 	Ctx context.Context
-	// Workers is the number of concurrent branch & bound workers. 0 or 1
-	// runs the deterministic serial search (hybrid best-bound with
-	// plunging); n > 1 runs n workers pulling subproblems from a shared
-	// depth-prioritized queue with a shared incumbent. Parallel search
-	// returns the same proven optimum (and respects the same limits), but
-	// node counts — and, when stopped early by RelGap or a limit, which
-	// incumbent is returned — can vary run to run. Negative values select
-	// runtime.GOMAXPROCS(0).
+	// Workers is the number of goroutines sharing the one search (hybrid
+	// best-bound with plunging); 0 means 1, negative values select
+	// runtime.GOMAXPROCS(0). One worker is deterministic. Several workers
+	// return the same proven optimum and respect the same limits, but node
+	// counts — and, when stopped early by RelGap or a limit, which
+	// incumbent is returned — can vary run to run.
 	Workers int
 	// Trace, if non-nil, receives branch & bound telemetry (obs.BBNode,
 	// obs.BBIncumbent, obs.BBBound, obs.BBPrune) and is propagated to the
@@ -124,9 +124,9 @@ type Result struct {
 	// search finished; X still carries the best incumbent found so far.
 	Cancelled bool
 	// Incumbents is the trajectory of accepted integral solutions in
-	// acceptance order (a caller-seeded incumbent appears at T=0). For
-	// parallel searches the trajectory depends on scheduling, like the
-	// node count.
+	// acceptance order (a caller-seeded incumbent appears at T=0). With
+	// several workers the trajectory depends on scheduling, like the node
+	// count.
 	Incumbents []Incumbent
 }
 
@@ -163,16 +163,18 @@ func relGap(obj, bound float64) float64 {
 }
 
 // node is one branch & bound subproblem: bound overrides relative to the
-// root plus the parent's LP bound used for best-first ordering and the
-// parent's optimal basis (nil at the root) used to warm-start the node's
-// own relaxation: a child differs from its parent in one variable's
-// bounds, so the dual simplex usually restores optimality in a handful of
-// pivots.
+// root; a lower bound for best-first ordering (the parent's LP objective
+// until the node's own relaxation is solved, then that); the parent's
+// optimal basis (nil at the root) used to warm-start the node's own
+// relaxation; and the node's solution, nil until solved. A child differs
+// from its parent in one variable's bounds, so the dual simplex usually
+// restores optimality in a handful of pivots.
 type node struct {
 	overrides map[int][2]float64
 	bound     float64
 	depth     int
 	basis     *lp.Basis
+	sol       *lp.Solution
 }
 
 type nodePQ []*node
@@ -189,9 +191,42 @@ func (q *nodePQ) Pop() interface{} {
 	return it
 }
 
-// Solve runs branch & bound on the model. With SolveOptions.Workers > 1
-// the search runs on a parallel worker pool (see solveParallel); the
-// default is the deterministic serial search.
+// child returns the subproblem on one side of the branch on x_j, whose
+// value in nd's solution is fractional: x_j ≤ ⌊x_j⌋ for side 0, x_j ≥
+// ⌊x_j⌋+1 for side 1. It is nil when that side is empty. The child starts
+// unsolved, bounded by nd's objective and warm-started from nd's basis.
+func (nd *node) child(m *Model, j, side int) *node {
+	lo, hi := m.lo[j], m.hi[j]
+	if b, ok := nd.overrides[j]; ok {
+		lo, hi = b[0], b[1]
+	}
+	if floorV := math.Floor(nd.sol.X[j]); side == 0 {
+		hi = floorV
+	} else {
+		lo = floorV + 1
+	}
+	if lo > hi {
+		return nil
+	}
+	ov := make(map[int][2]float64, len(nd.overrides)+1)
+	for k, v := range nd.overrides {
+		ov[k] = v
+	}
+	ov[j] = [2]float64{lo, hi}
+	return &node{overrides: ov, bound: nd.bound, depth: nd.depth + 1, basis: nd.sol.Basis}
+}
+
+// normalizeWorkers maps the SolveOptions.Workers convention to a worker
+// count: 0 is one worker, negative means all cores.
+func normalizeWorkers(n int) int {
+	if n < 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return max(n, 1)
+}
+
+// Solve runs branch & bound on the model: SolveOptions.Workers goroutines
+// share one best-bound search with plunging (see search).
 func (m *Model) Solve(opts SolveOptions) (*Result, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -206,10 +241,86 @@ func (m *Model) Solve(opts SolveOptions) (*Result, error) {
 		// solve on a large model can run for minutes.
 		opts.LP.Ctx = opts.Ctx
 	}
-	if w := normalizeWorkers(opts.Workers); w > 1 {
-		return m.solveParallel(opts, w)
+	s := &search{
+		m: m, opts: opts, tr: opts.Trace, workers: normalizeWorkers(opts.Workers),
+		res:       &Result{Bound: math.Inf(-1), Obj: math.Inf(1)},
+		lastBound: math.Inf(-1),
 	}
-	return m.solveSerial(opts)
+	s.cond = sync.NewCond(&s.mu)
+	s.inHand = make([]float64, s.workers)
+	for i := range s.inHand {
+		s.inHand[i] = math.Inf(1)
+	}
+	w0 := s.newWorker(0)
+	s.start = opts.now()
+	if opts.TimeLimit > 0 {
+		s.deadline = s.start.Add(opts.TimeLimit)
+	}
+	s.incumbent = seedIncumbent(m, w0.base, opts, s.res)
+	if s.res.X != nil {
+		s.res.Incumbents = append(s.res.Incumbents, Incumbent{Obj: s.res.Obj})
+		if s.tr.Enabled() {
+			s.tr.Emit(obs.Event{Kind: obs.BBIncumbent, Obj: s.res.Obj})
+		}
+	}
+
+	root := &node{overrides: map[int][2]float64{}}
+	s.mu.Lock()
+	rootSol, err := s.solve(w0, root)
+	s.unlock(w0)
+	if err != nil {
+		return nil, err
+	}
+	switch rootSol.Status {
+	case lp.Infeasible:
+		s.res.Status = Infeasible
+		return s.res, nil
+	case lp.Unbounded:
+		s.res.Status = Unbounded
+		return s.res, nil
+	case lp.IterLimit:
+		s.res.Status = Limit
+		s.res.Cancelled = opts.Ctx.Err() != nil
+		return s.res, nil
+	}
+	root.sol, root.bound = rootSol, rootSol.Obj
+	s.pq = nodePQ{root}
+
+	var wg sync.WaitGroup
+	wg.Add(s.workers - 1)
+	for id := 1; id < s.workers; id++ {
+		go func(id int) {
+			defer wg.Done()
+			s.work(s.newWorker(id))
+		}(id)
+	}
+	s.work(w0)
+	wg.Wait()
+	if s.err != nil {
+		return nil, s.err
+	}
+
+	res := s.res
+	res.Bound = s.bestBound() + m.objConst
+	if res.X != nil {
+		if s.pq.Len() == 0 || numeric.LeqTol(res.Obj-res.Bound, 0, 1e-9*math.Max(1, math.Abs(res.Obj))) {
+			res.Status = Optimal
+			res.Bound = res.Obj
+		} else if opts.RelGap > 0 && res.Gap() <= opts.RelGap {
+			res.Status = Optimal
+		} else {
+			res.Status = Feasible
+		}
+		return res, nil
+	}
+	if s.pq.Len() == 0 && !opts.CutoffSet {
+		// Search exhausted without an incumbent, and no caller cutoff can
+		// have pruned the solutions away.
+		res.Status = Infeasible
+		return res, nil
+	}
+	res.Status = Limit
+	return res, nil
 }
 
 // seedIncumbent applies the caller-supplied cutoff and incumbent vector,
@@ -256,283 +367,322 @@ func (m *Model) fractionalVar(x []float64, tol float64) int {
 	return bestJ
 }
 
-// solveSerial is the deterministic hybrid best-bound/plunging search.
-func (m *Model) solveSerial(opts SolveOptions) (*Result, error) {
-	base := m.buildLP()
-	res := &Result{Bound: math.Inf(-1), Obj: math.Inf(1)}
-	tr := opts.Trace
-	startT := opts.now()
-	deadline := time.Time{}
-	if opts.TimeLimit > 0 {
-		deadline = startT.Add(opts.TimeLimit)
+// search is the state of one branch & bound run, shared by its workers.
+// mu guards every field below it; LP relaxations are solved outside it, on
+// each worker's own copy of the problem.
+type search struct {
+	m               *Model
+	opts            SolveOptions
+	tr              *obs.Trace
+	workers         int
+	start, deadline time.Time
+
+	mu        sync.Mutex
+	cond      *sync.Cond // signalled when a node is queued, broadcast when a worker goes idle or the search stops
+	res       *Result    // node and iteration counts, incumbent and trajectory
+	pq        nodePQ
+	incumbent float64   // best integral objective, LP scale
+	inHand    []float64 // bound of the node each worker holds; +Inf when idle
+	busy      int       // workers holding a node
+	lastBound float64   // last bound published as bb.bound
+	stopped   bool      // a limit, the gap, cancellation or an LP error ended the search
+	err       error
+}
+
+// worker is one goroutine's private state: its LP problem and bound
+// buffers, and the events it gathered under the lock.
+type worker struct {
+	id     int
+	base   *lp.Problem
+	lo, hi []float64
+	events []obs.Event
+}
+
+func (s *search) newWorker(id int) *worker {
+	base := s.m.buildLP()
+	return &worker{id: id, base: base, lo: make([]float64, base.NumCols), hi: make([]float64, base.NumCols)}
+}
+
+// event queues e for emission when w releases the lock. With several
+// workers it is stamped with w's number.
+func (s *search) event(w *worker, e obs.Event) {
+	if !s.tr.Enabled() {
+		return
 	}
-	incumbent := seedIncumbent(m, base, opts, res)
-	if res.X != nil {
-		res.Incumbents = append(res.Incumbents, Incumbent{Obj: res.Obj})
-		if tr.Enabled() {
-			tr.Emit(obs.Event{Kind: obs.BBIncumbent, Obj: res.Obj})
+	if s.workers > 1 {
+		e.Worker = w.id + 1
+	}
+	w.events = append(w.events, e)
+}
+
+// unlock releases mu and emits the events w queued under it, in order.
+func (s *search) unlock(w *worker) {
+	s.mu.Unlock()
+	for _, e := range w.events {
+		s.tr.Emit(e)
+	}
+	w.events = w.events[:0]
+}
+
+// work runs one worker: it pops the best open node and plunges from it
+// until the frontier is exhausted or the search stops.
+func (s *search) work(w *worker) {
+	s.mu.Lock()
+	for s.next(w) {
+		nd := heap.Pop(&s.pq).(*node)
+		s.busy++
+		if err := s.plunge(w, nd); err != nil && s.err == nil {
+			s.err = err
+			s.stop()
+		}
+		s.busy--
+		s.inHand[w.id] = math.Inf(1)
+		s.cond.Broadcast()
+	}
+	s.unlock(w)
+}
+
+// next waits until a node is open or no worker can open one more, then
+// checks the stop conditions in the serial search's order and publishes a
+// risen dual bound. It reports whether w should pop a node. With mu held.
+func (s *search) next(w *worker) bool {
+	for s.pq.Len() == 0 && s.busy > 0 && !s.stopped {
+		s.cond.Wait()
+	}
+	if s.stopped || s.pq.Len() == 0 {
+		return false
+	}
+	if s.limitHit() || s.gapReached() {
+		s.stop()
+		return false
+	}
+	if s.tr.Enabled() {
+		if b := s.bestBound(); !math.IsInf(b, 0) && b > s.lastBound {
+			s.lastBound = b
+			s.event(w, obs.Event{Kind: obs.BBBound, Bound: b + s.m.objConst, Node: s.res.Nodes})
+			s.gapEvent(w)
 		}
 	}
+	return true
+}
 
-	// Working bound arrays, rewritten per node.
-	lo := make([]float64, base.NumCols)
-	hi := make([]float64, base.NumCols)
-
-	evalNode := func(nd *node) (*lp.Solution, error) {
-		copy(lo, m.lo)
-		copy(hi, m.hi)
-		for j, b := range nd.overrides {
-			lo[j], hi[j] = b[0], b[1]
+// plunge dives from nd as the serial search does: branch on the most
+// urgent fractional variable, solve both children, keep the better one in
+// hand and queue the other, until the chain dies out. On a stop the node
+// in hand is queued again, so the open frontier — and with it the
+// reported bound and status — stays exact: an abandoned node must not let
+// an empty queue masquerade as a proven optimum.
+//
+// Handoff: while the queue holds fewer nodes than there are other workers,
+// a child is queued unsolved instead, so no worker idles while this one
+// solves both children. With one worker the rule never fires, which keeps
+// the one-worker search the serial one. Called and returns with mu held.
+func (s *search) plunge(w *worker, nd *node) error {
+	s.inHand[w.id] = nd.bound
+	if nd.sol == nil {
+		if numeric.GeqTol(nd.bound, s.incumbent, 1e-9) {
+			s.event(w, obs.Event{Kind: obs.BBPrune, Node: s.res.Nodes, Depth: nd.depth})
+			return nil
 		}
-		base.Lower, base.Upper = lo, hi
-		// Warm-start from the parent's basis and snapshot this node's own
-		// basis for its children. Determinism holds: the solution is a
-		// pure function of the node (overrides + parent basis).
-		lpo := opts.LP
-		lpo.WantBasis = true
-		lpo.WarmBasis = nd.basis
-		sol, err := lp.Solve(base, lpo)
+		sol, err := s.solve(w, nd)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res.Nodes++
-		res.Iters += sol.Iters
-		if tr.Enabled() {
-			e := obs.Event{Kind: obs.BBNode, Node: res.Nodes, Depth: nd.depth}
-			if sol.Status == lp.Optimal {
-				e.Bound = sol.Obj + m.objConst
+		if sol.Status != lp.Optimal {
+			if s.cancelled() {
+				s.requeue(nd) // cut short, not proven infeasible
 			}
-			tr.Emit(e)
+			return nil // infeasible (or iter-limit: treated as pruned)
 		}
-		return sol, nil
+		nd.sol, nd.bound = sol, sol.Obj
 	}
+	for nd != nil {
+		s.inHand[w.id] = nd.bound
+		if s.stopped || s.limitHit() {
+			s.requeue(nd)
+			return nil
+		}
+		if numeric.GeqTol(nd.bound, s.incumbent, 1e-9) {
+			s.event(w, obs.Event{Kind: obs.BBPrune, Node: s.res.Nodes, Depth: nd.depth})
+			return nil // pruned by bound
+		}
+		j := s.m.fractionalVar(nd.sol.X, s.opts.IntTol)
+		if j < 0 {
+			s.accept(w, nd.sol)
+			return nil
+		}
+		var next *node
+		// restore queues the solved sibling and the parent again when the
+		// search stops between or inside the children's LPs.
+		restore := func() {
+			if next != nil {
+				s.push(next)
+			}
+			s.requeue(nd)
+		}
+		for side := 0; side < 2; side++ {
+			child := nd.child(s.m, j, side)
+			if child == nil {
+				continue
+			}
+			if s.pq.Len() < s.workers-1 {
+				s.push(child)
+				continue
+			}
+			if s.stopped { // by another worker
+				restore()
+				return nil
+			}
+			csol, err := s.solve(w, child)
+			if err != nil {
+				return err
+			}
+			if csol.Status != lp.Optimal {
+				if s.cancelled() {
+					restore() // cut short, not proven infeasible
+					return nil
+				}
+				continue // infeasible (or iter-limit: treated as pruned)
+			}
+			if numeric.GeqTol(csol.Obj, s.incumbent, 1e-9) {
+				s.event(w, obs.Event{Kind: obs.BBPrune, Node: s.res.Nodes, Depth: child.depth})
+				continue
+			}
+			child.sol, child.bound = csol, csol.Obj
+			if next == nil || child.bound < next.bound {
+				next, child = child, next // plunge into the cheaper child
+			}
+			if child != nil {
+				s.push(child)
+			}
+		}
+		nd = next
+	}
+	return nil
+}
 
-	root := &node{overrides: map[int][2]float64{}}
-	rootSol, err := evalNode(root)
+// solve solves nd's relaxation on w's own problem with mu released,
+// warm-started from the parent's basis, and counts it as a node. The
+// solution is a pure function of the node (overrides + parent basis), so
+// which worker solves it never changes it. Called and returns with mu held.
+func (s *search) solve(w *worker, nd *node) (*lp.Solution, error) {
+	s.unlock(w)
+	copy(w.lo, s.m.lo)
+	copy(w.hi, s.m.hi)
+	for j, b := range nd.overrides {
+		w.lo[j], w.hi[j] = b[0], b[1]
+	}
+	w.base.Lower, w.base.Upper = w.lo, w.hi
+	lpo := s.opts.LP
+	lpo.WantBasis = true
+	lpo.WarmBasis = nd.basis
+	sol, err := lp.Solve(w.base, lpo)
+	s.mu.Lock()
 	if err != nil {
 		return nil, err
 	}
-	switch rootSol.Status {
-	case lp.Infeasible:
-		res.Status = Infeasible
-		return res, nil
-	case lp.Unbounded:
-		res.Status = Unbounded
-		return res, nil
-	case lp.IterLimit:
-		res.Status = Limit
-		res.Cancelled = opts.Ctx.Err() != nil
-		return res, nil
+	s.res.Nodes++
+	s.res.Iters += sol.Iters
+	e := obs.Event{Kind: obs.BBNode, Node: s.res.Nodes, Depth: nd.depth}
+	if sol.Status == lp.Optimal {
+		e.Bound = sol.Obj + s.m.objConst
 	}
-	root.bound = rootSol.Obj
+	s.event(w, e)
+	return sol, nil
+}
 
-	pq := &nodePQ{}
-	heap.Init(pq)
-	// Evaluated LP solutions are kept alongside queued nodes so each LP is
-	// solved exactly once.
-	solutions := map[*node]*lp.Solution{root: rootSol}
-	heap.Push(pq, root)
-
-	bestBound := func() float64 {
-		if pq.Len() == 0 {
-			return incumbent
-		}
-		return (*pq)[0].bound
+// accept makes the integral relaxation sol the incumbent if it is better.
+func (s *search) accept(w *worker, sol *lp.Solution) {
+	if sol.Obj >= s.incumbent {
+		return
 	}
+	res := s.res
+	s.incumbent = sol.Obj
+	res.X = append([]float64(nil), sol.X...)
+	roundIntegers(s.m, res.X, s.opts.IntTol)
+	res.Obj = s.m.Eval(res.X)
+	res.Incumbents = append(res.Incumbents, Incumbent{T: s.opts.now().Sub(s.start), Obj: res.Obj, Nodes: res.Nodes})
+	s.event(w, obs.Event{Kind: obs.BBIncumbent, Obj: res.Obj, Node: res.Nodes})
+	// The leaf is consumed, so the open frontier is the queue and the
+	// other workers' nodes: bestBound is the true global dual bound here.
+	s.inHand[w.id] = math.Inf(1)
+	s.gapEvent(w)
+}
 
-	gapReached := func() bool {
-		if opts.RelGap <= 0 || math.IsInf(incumbent, 1) {
-			return false
-		}
-		denom := math.Max(math.Abs(incumbent), 1e-12)
-		return (incumbent-bestBound())/denom <= opts.RelGap
-	}
+// push queues nd and wakes a worker waiting for work.
+func (s *search) push(nd *node) {
+	heap.Push(&s.pq, nd)
+	s.cond.Signal()
+}
 
-	// emitGap publishes the convergence state — incumbent, best open
-	// bound, relative gap — as one bb.gap event whenever both sides are
-	// known: the first-class series live-streaming clients consume.
-	// Called at incumbent acceptances and bound improvements, right after
-	// the corresponding bb.incumbent / bb.bound event.
-	emitGap := func() {
-		if !tr.Enabled() || res.X == nil {
-			return
-		}
-		b := bestBound()
-		if math.IsInf(b, 0) {
-			return
-		}
-		boundM := b + m.objConst
-		tr.Emit(obs.Event{Kind: obs.BBGap, Obj: res.Obj, Bound: boundM, Gap: relGap(res.Obj, boundM), Node: res.Nodes})
-	}
+// requeue queues the node in hand again and stops the search.
+func (s *search) requeue(nd *node) {
+	s.push(nd)
+	s.stop()
+}
 
-	// Hybrid search: nodes are drawn best-bound-first from the queue, but
-	// after branching we plunge depth-first into the cheaper child (the
-	// other child is queued). Plunging finds integral incumbents early;
-	// best-first restarts keep the proven bound moving.
-	lastBound := math.Inf(-1)
-	for pq.Len() > 0 {
-		if res.Nodes >= opts.MaxNodes {
-			break
-		}
-		if !deadline.IsZero() && opts.now().After(deadline) {
-			break
-		}
-		if opts.Ctx.Err() != nil {
-			res.Cancelled = true
-			break
-		}
-		if gapReached() {
-			break
-		}
-		if tr.Enabled() {
-			if b := bestBound(); !math.IsInf(b, 0) && b > lastBound {
-				lastBound = b
-				tr.Emit(obs.Event{Kind: obs.BBBound, Bound: b + m.objConst, Node: res.Nodes})
-				emitGap()
-			}
-		}
-		nd := heap.Pop(pq).(*node)
-		sol := solutions[nd]
-		delete(solutions, nd)
+func (s *search) stop() {
+	s.stopped = true
+	s.cond.Broadcast()
+}
 
-		// Plunge from this node until the chain dies out. On a limit or
-		// cancellation stop the in-hand node is pushed back so the open
-		// frontier — and therefore the reported bound and status — stays
-		// exact: an abandoned node must not let an empty queue masquerade
-		// as a proven optimum.
-		requeue := func() {
-			solutions[nd] = sol
-			heap.Push(pq, nd)
-		}
-	plunge:
-		for nd != nil {
-			if res.Nodes >= opts.MaxNodes {
-				requeue()
-				break
-			}
-			if !deadline.IsZero() && opts.now().After(deadline) {
-				requeue()
-				break
-			}
-			if opts.Ctx.Err() != nil {
-				res.Cancelled = true
-				requeue()
-				break
-			}
-			if numeric.GeqTol(sol.Obj, incumbent, 1e-9) {
-				if tr.Enabled() {
-					tr.Emit(obs.Event{Kind: obs.BBPrune, Node: res.Nodes, Depth: nd.depth})
-				}
-				break // pruned by bound
-			}
-			j := m.fractionalVar(sol.X, opts.IntTol)
-			if j < 0 {
-				// Integral: new incumbent.
-				if sol.Obj < incumbent {
-					incumbent = sol.Obj
-					res.X = append([]float64(nil), sol.X...)
-					roundIntegers(m, res.X, opts.IntTol)
-					res.Obj = m.Eval(res.X)
-					res.Incumbents = append(res.Incumbents, Incumbent{T: opts.now().Sub(startT), Obj: res.Obj, Nodes: res.Nodes})
-					if tr.Enabled() {
-						tr.Emit(obs.Event{Kind: obs.BBIncumbent, Obj: res.Obj, Node: res.Nodes})
-						// The plunge node is consumed (an integral leaf), so
-						// the open frontier is exactly the queue: bestBound()
-						// is the true global dual bound here.
-						emitGap()
-					}
-				}
-				break
-			}
-			// Branch on x_j ≤ floor and x_j ≥ ceil.
-			floorV := math.Floor(sol.X[j])
-			var next *node
-			var nextSol *lp.Solution
-			for side := 0; side < 2; side++ {
-				ov := make(map[int][2]float64, len(nd.overrides)+1)
-				for k, v := range nd.overrides {
-					ov[k] = v
-				}
-				curLo, curHi := m.lo[j], m.hi[j]
-				if b, ok := nd.overrides[j]; ok {
-					curLo, curHi = b[0], b[1]
-				}
-				if side == 0 {
-					ov[j] = [2]float64{curLo, floorV}
-				} else {
-					ov[j] = [2]float64{floorV + 1, curHi}
-				}
-				if ov[j][0] > ov[j][1] {
-					continue
-				}
-				child := &node{overrides: ov, bound: sol.Obj, depth: nd.depth + 1, basis: sol.Basis}
-				csol, err := evalNode(child)
-				if err != nil {
-					return nil, err
-				}
-				if csol.Status != lp.Optimal {
-					if opts.Ctx.Err() != nil {
-						// The child's LP was cut short by cancellation, not
-						// proven infeasible. Restore the frontier — the
-						// already-evaluated sibling and the parent — so the
-						// lost subtree cannot let an empty queue masquerade
-						// as a proven optimum, then stop.
-						res.Cancelled = true
-						if next != nil {
-							solutions[next] = nextSol
-							heap.Push(pq, next)
-						}
-						requeue()
-						break plunge
-					}
-					continue // infeasible (or iter-limit: treated as pruned)
-				}
-				if numeric.GeqTol(csol.Obj, incumbent, 1e-9) {
-					if tr.Enabled() {
-						tr.Emit(obs.Event{Kind: obs.BBPrune, Node: res.Nodes, Depth: child.depth})
-					}
-					continue
-				}
-				child.bound = csol.Obj
-				if next == nil || csol.Obj < nextSol.Obj {
-					if next != nil {
-						solutions[next] = nextSol
-						heap.Push(pq, next)
-					}
-					next, nextSol = child, csol
-				} else {
-					solutions[child] = csol
-					heap.Push(pq, child)
-				}
-			}
-			nd, sol = next, nextSol
-		}
+// cancelled reports, and records in the result, a cancelled context.
+func (s *search) cancelled() bool {
+	if s.opts.Ctx.Err() != nil {
+		s.res.Cancelled = true
+		return true
 	}
+	return false
+}
 
-	res.Bound = bestBound() + m.objConst
-	if res.X != nil {
-		if pq.Len() == 0 || numeric.LeqTol(res.Obj-res.Bound, 0, 1e-9*math.Max(1, math.Abs(res.Obj))) {
-			res.Status = Optimal
-			res.Bound = res.Obj
-		} else if opts.RelGap > 0 && res.Gap() <= opts.RelGap {
-			res.Status = Optimal
-		} else {
-			res.Status = Feasible
-		}
-		return res, nil
+// limitHit reports whether the node budget, the deadline or the context
+// ends the search.
+func (s *search) limitHit() bool {
+	if s.res.Nodes >= s.opts.MaxNodes || (!s.deadline.IsZero() && s.opts.now().After(s.deadline)) {
+		return true
 	}
-	if pq.Len() == 0 {
-		// Search exhausted without an incumbent: infeasible (or everything
-		// was cut off by the caller's cutoff).
-		if opts.CutoffSet {
-			res.Status = Limit
-		} else {
-			res.Status = Infeasible
-		}
-		return res, nil
+	return s.cancelled()
+}
+
+// bestBound is the weakest bound still open, over the queue and the nodes
+// workers hold, or the incumbent once nothing is open.
+func (s *search) bestBound() float64 {
+	b := math.Inf(1)
+	if s.pq.Len() > 0 {
+		b = s.pq[0].bound
 	}
-	res.Status = Limit
-	return res, nil
+	for _, h := range s.inHand {
+		b = math.Min(b, h)
+	}
+	if math.IsInf(b, 1) {
+		return s.incumbent
+	}
+	return b
+}
+
+func (s *search) gapReached() bool {
+	if s.opts.RelGap <= 0 || math.IsInf(s.incumbent, 1) {
+		return false
+	}
+	denom := math.Max(math.Abs(s.incumbent), 1e-12)
+	return (s.incumbent-s.bestBound())/denom <= s.opts.RelGap
+}
+
+// gapEvent publishes the convergence state — incumbent, best open bound,
+// relative gap — as one bb.gap event whenever both sides are known: the
+// first-class series live-streaming clients consume. It follows every
+// incumbent acceptance and bound rise, right after the bb.incumbent or
+// bb.bound event.
+func (s *search) gapEvent(w *worker) {
+	if !s.tr.Enabled() || s.res.X == nil {
+		return
+	}
+	b := s.bestBound()
+	if math.IsInf(b, 0) {
+		return
+	}
+	boundM := b + s.m.objConst
+	s.event(w, obs.Event{Kind: obs.BBGap, Obj: s.res.Obj, Bound: boundM, Gap: relGap(s.res.Obj, boundM), Node: s.res.Nodes})
 }
 
 // integral reports whether every integer variable of x is within tol of an

@@ -10,7 +10,7 @@ import (
 )
 
 // randomBinaryModel builds a random pure-binary MILP (the same family as
-// TestRandomBinaryVsEnumeration) for cross-checking serial vs parallel.
+// TestRandomBinaryVsEnumeration) for cross-checking worker counts.
 func randomBinaryModel(rng *rand.Rand) *Model {
 	nv := 4 + rng.Intn(6) // 4..9 binaries
 	rows := 2 + rng.Intn(4)
@@ -66,7 +66,7 @@ func TestParallelSolveMatchesSerial(t *testing.T) {
 	}
 }
 
-// Negative Workers means all cores; 0 and 1 stay on the serial path.
+// Negative Workers means all cores; 0 and 1 are one worker.
 func TestWorkersConvention(t *testing.T) {
 	if got := normalizeWorkers(-1); got < 1 {
 		t.Errorf("normalizeWorkers(-1) = %d", got)

@@ -15,13 +15,14 @@ const (
 
 	// BBNode: one branch & bound subproblem's LP relaxation was solved.
 	// Node is the running node count, Depth the tree depth, Bound the
-	// node's LP bound (model scale), Worker the solver worker.
+	// node's LP bound (model scale), Worker the solver worker (set on every
+	// bb.* event only when several workers share the search).
 	BBNode Kind = "bb.node"
 	// BBIncumbent: a better integral solution was accepted. Obj is its
 	// objective (model scale), Node the node count at acceptance.
 	BBIncumbent Kind = "bb.incumbent"
-	// BBBound: the global dual bound tightened (serial search only, where
-	// the frontier minimum is cheap to observe). Bound is model-scale.
+	// BBBound: the global dual bound — the least bound over queued nodes
+	// and the nodes workers hold — tightened. Bound is model-scale.
 	BBBound Kind = "bb.bound"
 	// BBPrune: a subproblem was discarded against the incumbent before or
 	// after its LP solve. Depth/Bound describe the pruned node.

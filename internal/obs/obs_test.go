@@ -223,6 +223,22 @@ func TestProgressSinkDeterministic(t *testing.T) {
 	}
 }
 
+// nilTraceSink keeps WithRequest's result alive in the allocation check.
+var nilTraceSink *obs.Trace
+
+// TestDisabledTraceAllocFree is the disabled-tracing guarantee as a
+// tier-1 test: emitting into a nil trace, and taking a request view of
+// one, allocate nothing, so an untraced solve pays only nil checks.
+func TestDisabledTraceAllocFree(t *testing.T) {
+	var tr *obs.Trace
+	if n := testing.AllocsPerRun(1000, func() { tr.Emit(obs.Event{Kind: obs.BBNode, Node: 7, Bound: -3.25}) }); n > 0 {
+		t.Errorf("nil Trace.Emit allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { nilTraceSink = tr.WithRequest("req-1") }); n > 0 {
+		t.Errorf("nil Trace.WithRequest allocates %v times per call", n)
+	}
+}
+
 // BenchmarkEmitNil measures the disabled-tracer cost paid by every
 // emission site: one nil receiver test. This is the overhead tracing adds
 // to an untraced solve.
