@@ -7,7 +7,7 @@
 //	nocdeployd [-addr HOST:PORT] [-addr-file FILE] [-workers N] [-queue N]
 //	           [-cache-size N] [-max-jobs N] [-default-timeout D]
 //	           [-max-timeout D] [-drain-grace D] [-trace-buffer N]
-//	           [-stream-buffer N] [-heartbeat D] [-flight-recorder N]
+//	           [-heartbeat D] [-flight-recorder N]
 //	           [-access-log FILE] [-debug-addr HOST:PORT]
 //	           [-archive-dir DIR] [-archive-retention BYTES]
 //	           [-archive-max-age D]
@@ -15,16 +15,21 @@
 // The daemon answers POST /v1/solve, GET /v1/jobs/{id}, GET /healthz and
 // GET /metrics (JSON by default, Prometheus text with Accept: text/plain
 // or ?format=prom); cmd/deployctl is the matching client. Every request
-// is tagged with an X-Request-ID whose trace slice is retained in a ring
-// buffer of -trace-buffer events and served at
-// GET /v1/requests/{id}/trace, and streamed live over SSE at
+// is tagged with an X-Request-ID whose trace slice is retained in an
+// event log of the last -trace-buffer events, served at
+// GET /v1/requests/{id}/trace and streamed live over SSE at
 // GET /v1/requests/{id}/events and GET /v1/jobs/{id}/events
-// (deployctl watch is the matching consumer). -stream-buffer bounds each
-// SSE subscriber's drop-oldest buffer, -heartbeat sets the idle keepalive
-// interval, and -flight-recorder caps the trailing trace events attached
-// to failed or cancelled job records. -access-log writes one JSON line per
-// request ("-" for stderr); -debug-addr starts a second listener serving
-// net/http/pprof, kept off the public API surface on purpose.
+// (deployctl watch is the matching consumer). Each stream reads the same
+// log through its own cursor, so -trace-buffer also bounds how far a
+// slow SSE client may fall behind before it sees a stream.gap. The log
+// holds every request's events: under load, the default keeps about a
+// second of daemon traffic, so a daemon that serves watchers under load
+// should raise -trace-buffer.
+// -heartbeat sets the idle keepalive interval, and -flight-recorder caps
+// the trailing trace events attached to failed or cancelled job records.
+// -access-log writes one JSON line per request ("-" for stderr);
+// -debug-addr starts a second listener serving net/http/pprof, kept off
+// the public API surface on purpose.
 //
 // -archive-dir enables the persistent solve archive (internal/archive):
 // every non-cached solve is recorded as segmented JSONL under DIR,
@@ -71,8 +76,7 @@ func main() {
 		defTimeout  = flag.Duration("default-timeout", 0, "solve budget for requests without an explicit timeout (0 = none)")
 		maxTimeout  = flag.Duration("max-timeout", time.Hour, "clamp on per-request timeouts")
 		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "shutdown grace for in-flight HTTP requests")
-		traceBuffer = flag.Int("trace-buffer", 4096, "trace events retained for /v1/requests/{id}/trace (0 disables tracing)")
-		streamBuf   = flag.Int("stream-buffer", 256, "per-subscriber SSE event buffer (drop-oldest when full)")
+		traceBuffer = flag.Int("trace-buffer", 4096, "trace events retained for the trace and SSE endpoints (0 disables tracing)")
 		heartbeat   = flag.Duration("heartbeat", 15*time.Second, "SSE idle heartbeat interval")
 		flightRec   = flag.Int("flight-recorder", 64, "trailing trace events kept on failed/cancelled jobs (0 disables)")
 		accessLog   = flag.String("access-log", "", "structured access log destination (- for stderr, empty disables)")
@@ -122,7 +126,6 @@ func main() {
 		MaxTimeout:     *maxTimeout,
 		Metrics:        obs.NewMetrics(),
 		TraceBuffer:    tb,
-		StreamBuffer:   *streamBuf,
 		Heartbeat:      *heartbeat,
 		FlightRecorder: fr,
 		AccessLog:      alog,

@@ -41,8 +41,8 @@ type Options struct {
 
 	// QueueDepth bounds the async writer's queue; 0 means 256. Append
 	// never blocks: when the queue is full the record is counted as
-	// dropped instead — mirroring the BroadcastSink backpressure
-	// contract, a slow disk can never delay a solve.
+	// dropped instead — mirroring the event log's backpressure
+	// contract (obs.Log), a slow disk can never delay a solve.
 	QueueDepth int
 
 	// MemoryRecords caps retained full records in memory-only mode;

@@ -296,7 +296,7 @@ func TestMaxAgeExpiry(t *testing.T) {
 
 // TestAppendNeverBlocks pins the write-only contract's latency half: a
 // fully stalled writer (gated) and a full queue cost Append nothing but a
-// drop counter — mirroring the BroadcastSink backpressure proof.
+// drop counter — mirroring the event log's backpressure proof.
 func TestAppendNeverBlocks(t *testing.T) {
 	s := openTest(t, t.TempDir(), Options{QueueDepth: 4})
 	gate := make(chan struct{})

@@ -116,12 +116,16 @@ const (
 	// archived records consulted.
 	ArchiveAdvise Kind = "archive.advise"
 
-	// StreamGap: an in-band drop marker synthesized by a BroadcastSink
+	// StreamGap: an in-band drop marker synthesized by a Log
 	// subscription, never emitted through a Trace. A slow subscriber whose
-	// bounded buffer overflowed sees exactly one StreamGap in place of the
-	// evicted events; Node is how many events were dropped since the
-	// previous marker. Seq is zero — the marker is not part of the trace's
-	// total order, it documents a hole in this subscriber's view of it.
+	// cursor the log moved on past evicted events sees one StreamGap in
+	// their place, ahead of the events that survived; Node is how many
+	// events matching its filters were evicted since the previous marker,
+	// and Req is the subscription's request filter. A request
+	// subscription's own ReqDone is never among them: the log holds it,
+	// and it follows the marker. Seq is zero — the marker is not part of
+	// the trace's total order, it documents a hole in this subscriber's
+	// view of it.
 	StreamGap Kind = "stream.gap"
 )
 

@@ -25,7 +25,10 @@
 //     Perfetto flame views of parallel workers;
 //   - ProgressSink: a throttled human ticker for stderr;
 //   - MetricsSink: aggregates events into a Metrics registry
-//     (nodes, incumbent trajectory, bound gap, pool occupancy).
+//     (nodes, incumbent trajectory, bound gap, pool occupancy);
+//   - Log: a bounded in-memory event log, sliced by request ID and read
+//     live through per-subscriber cursors (the deployment service's
+//     trace and SSE endpoints).
 //
 // Event order across concurrent emitters depends on goroutine scheduling,
 // so trace files — unlike result tables — are not byte-reproducible for

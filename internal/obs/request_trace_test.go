@@ -1,6 +1,9 @@
 package obs_test
 
 import (
+	"context"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -62,8 +65,8 @@ func TestWithRequestNilSafe(t *testing.T) {
 }
 
 func TestRingSinkRetainsAndFilters(t *testing.T) {
-	ring := obs.NewRingSink(4)
-	tr := obs.NewWithClock(fakeClock(time.Millisecond), ring)
+	log := obs.NewLog(4)
+	tr := obs.NewWithClock(fakeClock(time.Millisecond), log)
 	r1 := tr.WithRequest("r1")
 	r2 := tr.WithRequest("r2")
 	r1.Emit(obs.Event{Kind: obs.ReqAdmit})
@@ -71,38 +74,51 @@ func TestRingSinkRetainsAndFilters(t *testing.T) {
 	r1.Emit(obs.Event{Kind: obs.ReqStage, Phase: "cache"})
 	r1.Emit(obs.Event{Kind: obs.ReqDone, Phase: "ok"})
 
-	if got := ring.Len(); got != 4 {
+	if got := log.Stats().Len; got != 4 {
 		t.Fatalf("Len = %d, want 4", got)
 	}
-	if got := len(ring.ForRequest("r1")); got != 3 {
+	if got := len(log.ForRequest("r1")); got != 3 {
 		t.Fatalf("r1 slice has %d events, want 3", got)
 	}
-	if got := ring.Dropped(); got != 0 {
-		t.Fatalf("Dropped = %d before overflow", got)
+	if got := log.Stats().Evicted; got != 0 {
+		t.Fatalf("Evicted = %d before overflow", got)
 	}
 
 	// Overflow evicts oldest-first.
 	r2.Emit(obs.Event{Kind: obs.ReqDone, Phase: "ok"})
-	ev := ring.Events()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A subscription opens at the oldest retained event, so draining one
+	// after Close reads back exactly what the log holds.
+	sub := log.Subscribe(obs.SubscribeOptions{})
+	var ev []obs.Event
+	for {
+		e, err := sub.Next(context.Background())
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev = append(ev, e)
+	}
 	if len(ev) != 4 {
 		t.Fatalf("post-overflow Len = %d, want 4", len(ev))
 	}
 	if ev[0].Kind != obs.ReqAdmit || ev[0].Req != "r2" {
 		t.Fatalf("oldest retained event %+v, want r2's admit", ev[0])
 	}
-	if got := ring.Dropped(); got != 1 {
-		t.Fatalf("Dropped = %d, want 1", got)
+	if got := log.Stats().Evicted; got != 1 {
+		t.Fatalf("Evicted = %d, want 1", got)
 	}
-	if got := len(ring.ForRequest("r1")); got != 2 {
+	if got := len(log.ForRequest("r1")); got != 2 {
 		t.Fatalf("r1 slice after eviction has %d events, want 2", got)
 	}
 	for i := 1; i < len(ev); i++ {
 		if ev[i].Seq <= ev[i-1].Seq {
-			t.Fatalf("ring not oldest-first: %v", ev)
+			t.Fatalf("log not oldest-first: %v", ev)
 		}
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

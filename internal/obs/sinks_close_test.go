@@ -21,8 +21,8 @@ func TestSinkCloseHygiene(t *testing.T) {
 		{"chrome", func() Sink { return NewChromeSink(io.Discard) }},
 		{"progress", func() Sink { return NewProgressSink(io.Discard, 0) }},
 		{"metrics", func() Sink { return NewMetricsSink(NewMetrics()) }},
-		{"ring", func() Sink { return NewRingSink(16) }},
-		{"broadcast", func() Sink { return NewBroadcastSink() }},
+		{"ring", func() Sink { return NewLog(16) }},
+		{"broadcast", func() Sink { l := NewLog(16); l.Subscribe(SubscribeOptions{}); return l }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

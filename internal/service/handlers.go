@@ -309,11 +309,11 @@ func (s *Service) startAsync(w http.ResponseWriter, ri *reqInfo, req SolveReques
 		}
 		// Flight recorder: a job that failed or got cancelled keeps its
 		// trailing trace events on the record, so the failure can be
-		// diagnosed after the ring has moved on.
+		// diagnosed after the event log has moved on.
 		var flight []obs.Event
-		if n := s.cfg.FlightRecorder; n > 0 && s.ring != nil &&
+		if n := s.cfg.FlightRecorder; n > 0 && s.events != nil &&
 			(err != nil || (res != nil && res.Cancelled)) {
-			flight = s.ring.ForRequest(req.RequestID)
+			flight = s.events.ForRequest(req.RequestID)
 			if len(flight) > n {
 				flight = flight[len(flight)-n:]
 			}
@@ -365,17 +365,22 @@ func (s *Service) handleRequestTrace(w http.ResponseWriter, r *http.Request) {
 	s.writeTraceSlice(w, r.PathValue("id"))
 }
 
+// errTracingDisabled answers the trace and event-stream endpoints of a
+// service built without an event log (Config.TraceBuffer < 0, which
+// nocdeployd -trace-buffer 0 selects).
+var errTracingDisabled = errors.New("request tracing disabled (no trace buffer)")
+
 // writeTraceSlice emits the retained events of one request as JSONL
 // (obs.ReadJSONL is the inverse). 404 distinguishes "nothing retained"
 // — tracing disabled, unknown ID, or events already evicted from the
-// ring — from an empty-but-valid slice, which cannot occur: every traced
+// log — from an empty-but-valid slice, which cannot occur: every traced
 // request emits req.admit first.
 func (s *Service) writeTraceSlice(w http.ResponseWriter, reqID string) {
-	if s.ring == nil {
-		s.writeError(w, http.StatusNotFound, errors.New("request tracing disabled (trace buffer 0)"))
+	if s.events == nil {
+		s.writeError(w, http.StatusNotFound, errTracingDisabled)
 		return
 	}
-	events := s.ring.ForRequest(reqID)
+	events := s.events.ForRequest(reqID)
 	if len(events) == 0 {
 		s.writeError(w, http.StatusNotFound, errors.New("no trace retained for request "+reqID))
 		return

@@ -4,7 +4,7 @@
 // Every admitted request gets an ID (minted by the HTTP middleware, or
 // by Solve itself for direct API callers). The ID rides a request-scoped
 // obs.Trace child through cache → queue → pool → solver, so every event
-// the solve emits carries it, and the service's ring sink can serve the
+// the solve emits carries it, and the service's event log can serve the
 // per-request trace slice back out (GET /v1/requests/{id}/trace).
 // Alongside the trace, each serving stage is observed into a latency
 // histogram and each finished request increments one outcome-labelled
@@ -162,13 +162,12 @@ func (s *Service) refreshGauges() {
 	s.met.Set("cache.evictions", float64(st.Evictions))
 	s.met.Set("cache.hit_ratio", st.HitRatio())
 	s.met.Set("solve.runs", float64(s.solves.Load()))
-	if s.ring != nil {
-		s.met.Set("trace.ring_events", float64(s.ring.Len()))
-		s.met.Set("trace.ring_dropped", float64(s.ring.Dropped()))
-	}
-	if s.bcast != nil {
-		s.met.Set("stream.subscribers", float64(s.bcast.Subscribers()))
-		s.met.Set("stream.dropped", float64(s.bcast.Dropped()))
+	if s.events != nil {
+		ls := s.events.Stats()
+		s.met.Set("trace.ring_events", float64(ls.Len))
+		s.met.Set("trace.ring_dropped", float64(ls.Evicted))
+		s.met.Set("stream.subscribers", float64(ls.Subscribers))
+		s.met.Set("stream.dropped", float64(ls.Dropped))
 	}
 	if s.arch != nil {
 		ast := s.arch.StoreStats()

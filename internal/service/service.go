@@ -74,13 +74,14 @@ type Config struct {
 	MaxTimeout     time.Duration
 	Metrics        *obs.Metrics
 
-	// TraceBuffer sizes the in-memory event ring that backs
-	// GET /v1/requests/{id}/trace: 0 means the 4096-event default,
-	// negative disables request tracing entirely (which also disables the
-	// streaming endpoints and flight recorder — both ride the same trace).
+	// TraceBuffer sizes the in-memory event log (obs.Log) behind the
+	// trace endpoints, the flight recorder and the SSE streams, which
+	// read it through per-stream cursors: 0 means the 4096-event default,
+	// negative disables request tracing and with it all three.
 	TraceBuffer int
-	// StreamBuffer sizes each SSE subscriber's drop-oldest event buffer
-	// (see obs.BroadcastSink); 0 means 256.
+	// StreamBuffer is ignored: SSE streams read the event log directly,
+	// so TraceBuffer bounds them too. It is kept only because the
+	// benchmark harness (perfbench) sets it.
 	StreamBuffer int
 	// Heartbeat is the idle interval between SSE comment heartbeats that
 	// keep intermediaries from timing out a quiet stream; 0 means 15s.
@@ -122,9 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewMetrics()
-	}
-	if c.StreamBuffer <= 0 {
-		c.StreamBuffer = 256
 	}
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = 15 * time.Second
@@ -255,8 +253,7 @@ type Service struct {
 	cache  *cache.Cache[*SolveResult]
 	jobs   *jobTable
 	trace  *obs.Trace         // root of every request-scoped child trace; may be nil
-	ring   *obs.RingSink      // recent-event retention for trace endpoints; may be nil
-	bcast  *obs.BroadcastSink // live fan-out behind the SSE endpoints; may be nil
+	events *obs.Log           // recent events: trace endpoints, flight recorder, SSE; may be nil
 	alog   *accessLogger      // may be nil
 	arch   *archive.Store     // persistent solve archive; may be nil
 	coll   *archive.Collector // trajectory folding for the archive; may be nil
@@ -292,9 +289,8 @@ func New(cfg Config) *Service {
 		if capacity == 0 {
 			capacity = 4096
 		}
-		s.ring = obs.NewRingSink(capacity)
-		s.bcast = obs.NewBroadcastSink()
-		sinks = append(sinks, s.ring, s.bcast)
+		s.events = obs.NewLog(capacity)
+		sinks = append(sinks, s.events)
 	}
 	if s.arch != nil {
 		// The collector folds each request's incumbent trajectory and

@@ -523,6 +523,24 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedMeshRejected: a one-task instance on a 32×32 mesh, a body
+// of about a hundred bytes, is refused with 400 before its mesh is
+// built, instead of exhausting the daemon's memory.
+func TestOversizedMeshRejected(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	inst := chainInstance(1, 5.0)
+	inst.Mesh.W, inst.Mesh.H = 32, 32
+	resp := postSolve(t, srv.URL+"/v1/solve", instanceBody(t, inst))
+	b := readBody(t, resp)
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(b, []byte("mesh")) {
+		t.Fatalf("32x32 mesh: status %d (%s), want 400 naming the mesh", resp.StatusCode, b)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()

@@ -2,16 +2,17 @@
 // stream.
 //
 // GET /v1/requests/{id}/events and GET /v1/jobs/{id}/events attach an SSE
-// client to one request's solve as it runs. The handler subscribes to the
-// service's obs.BroadcastSink *first*, then replays the RingSink's
-// retained prefix (so a late joiner sees the incumbents it missed), then
-// forwards live events, deduplicating the overlap by the trace's global
-// sequence number. The subscription buffer is bounded with drop-oldest
-// semantics — a stalled client can never block the solver — and a drop
-// surfaces in-band as a stream.gap event before the events that survived
-// it. Idle streams carry comment heartbeats so intermediaries keep the
-// connection open. The stream ends with a solve.done terminal event
-// (Label "request") carrying the request's outcome.
+// client to one request's solve as it runs. The handler reads one
+// subscription on the service's event log (obs.Log), filtered to the
+// request and to ?kinds=. The subscription opens at the oldest retained
+// event, so the stream first replays what the log still holds — a late
+// joiner sees the incumbents it missed — and then follows the solve live.
+// The log never waits for a reader, so a stalled client can never block
+// the solver; events evicted before the client read them surface in-band
+// as one stream.gap event ahead of the events that survived. Idle streams
+// carry comment heartbeats so intermediaries keep the connection open.
+// The stream ends with a solve.done terminal event (Label "request")
+// carrying the request's outcome.
 package service
 
 import (
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -38,8 +40,8 @@ func (s *Service) handleRequestEvents(w http.ResponseWriter, r *http.Request) {
 
 // handleJobEvents streams the solve behind an async job. Unlike the
 // request route, an unknown job is a hard 404, and a job that already
-// finished gets its replay prefix plus an immediate terminal event
-// synthesized from the job record.
+// finished gets its retained events and then its terminal event at once,
+// synthesized from the job record if the log no longer holds req.done.
 func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	s.met.Add("http.requests", 1)
 	job, ok := s.jobs.get(r.PathValue("id"))
@@ -54,23 +56,13 @@ func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // req.done is always included when a filter is present: without it the
 // stream could never observe its own termination.
 func parseKinds(r *http.Request) []obs.Kind {
-	raw := r.URL.Query().Get("kinds")
-	if raw == "" {
-		return nil
-	}
 	var kinds []obs.Kind
-	sawDone := false
-	for _, k := range strings.Split(raw, ",") {
-		k = strings.TrimSpace(k)
-		if k == "" {
-			continue
-		}
-		kinds = append(kinds, obs.Kind(k))
-		if obs.Kind(k) == obs.ReqDone {
-			sawDone = true
+	for _, k := range strings.Split(r.URL.Query().Get("kinds"), ",") {
+		if k = strings.TrimSpace(k); k != "" {
+			kinds = append(kinds, obs.Kind(k))
 		}
 	}
-	if len(kinds) > 0 && !sawDone {
+	if len(kinds) > 0 && !slices.Contains(kinds, obs.ReqDone) {
 		kinds = append(kinds, obs.ReqDone)
 	}
 	return kinds
@@ -108,38 +100,20 @@ func jobOutcome(j *Job) string {
 }
 
 // streamEvents is the shared SSE loop. job, when non-nil, is a snapshot
-// of the async job record taken by the caller — used only to synthesize a
-// terminal event for streams that join after the solve finished and its
-// req.done event was evicted from the ring.
+// of the async job record taken by the caller. A job turns terminal only
+// after its req.done is written, so a stream on a finished job has
+// nothing left to wait for: it reads the log without idling, and if the
+// req.done was evicted before the stream subscribed, the job record
+// supplies the terminal event. The record is read again whenever the
+// stream idles a heartbeat long, because the job may have finished
+// between the caller's snapshot and the subscription.
 func (s *Service) streamEvents(w http.ResponseWriter, r *http.Request, reqID string, job *Job) {
-	if s.bcast == nil || s.ring == nil {
-		s.writeError(w, http.StatusNotFound, errors.New("event streaming disabled (trace buffer < 0)"))
+	if s.events == nil {
+		s.writeError(w, http.StatusNotFound, errTracingDisabled)
 		return
 	}
 	rc := http.NewResponseController(w)
-
-	kinds := parseKinds(r)
-	wantKind := func(k obs.Kind) bool {
-		if len(kinds) == 0 {
-			return true
-		}
-		for _, want := range kinds {
-			if k == want {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Subscribe before snapshotting the ring: every event is then either
-	// in the replay prefix or in the subscription buffer (or both — the
-	// overlap is deduplicated by sequence number below). Subscribing after
-	// would open a window where events fall between replay and live.
-	sub := s.bcast.Subscribe(obs.SubscribeOptions{
-		Req:    reqID,
-		Kinds:  kinds,
-		Buffer: s.cfg.StreamBuffer,
-	})
+	sub := s.events.Subscribe(obs.SubscribeOptions{Req: reqID, Kinds: parseKinds(r)})
 	defer sub.Close()
 
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -162,8 +136,8 @@ func (s *Service) streamEvents(w http.ResponseWriter, r *http.Request, reqID str
 
 	// A reconnecting client (deployctl watch retries dropped streams)
 	// sends the standard Last-Event-ID header with the last trace
-	// sequence number it saw; the replay below skips everything at or
-	// before it, so reconnects resume instead of re-playing.
+	// sequence number it saw; events at or before it are not sent again,
+	// so reconnects resume instead of re-playing.
 	var resume int64
 	if v := r.Header.Get("Last-Event-ID"); v != "" {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil && n > 0 {
@@ -171,71 +145,45 @@ func (s *Service) streamEvents(w http.ResponseWriter, r *http.Request, reqID str
 		}
 	}
 
-	// Replay the retained prefix for late joiners, under the same kind
-	// filter the live subscription applies.
-	maxSeq := resume
-	for _, e := range s.ring.ForRequest(reqID) {
-		if e.Seq > 0 && e.Seq <= resume {
-			continue // the client already has it from before the drop
-		}
-		if e.Seq > maxSeq {
-			maxSeq = e.Seq
-		}
-		if !wantKind(e.Kind) {
-			continue
-		}
-		if err := writeSSE(w, e); err != nil {
-			return
-		}
-		if e.Kind == obs.ReqDone {
-			terminal(e.Phase, e.Dur, e.T)
-			return
-		}
-	}
-	_ = rc.Flush()
-
-	// The request finished long enough ago that its req.done was evicted:
-	// the job record (snapshotted after Subscribe, and jobs turn terminal
-	// only after req.done is emitted) is the fallback terminal source.
+	wait := s.cfg.Heartbeat
 	if job != nil && job.terminal() {
-		terminal(jobOutcome(job), 0, 0)
-		return
+		wait = 0
 	}
-
-	// Live loop: forward events as the solve emits them, heartbeat when
-	// idle, finish on the request's req.done.
 	for {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Heartbeat)
+		ctx, cancel := context.WithTimeout(r.Context(), wait)
 		e, err := sub.Next(ctx)
 		cancel()
 		if err != nil {
-			switch {
-			case errors.Is(err, io.EOF):
-				// Service shutting down; the stream ends without a terminal
-				// event — the client sees a clean close and may reconnect.
-				return
-			case r.Context().Err() != nil:
-				return // client went away
-			case errors.Is(err, context.DeadlineExceeded):
-				if _, werr := io.WriteString(w, ": hb\n\n"); werr != nil {
-					return
-				}
-				_ = rc.Flush()
-				continue
-			default:
+			if r.Context().Err() != nil || !errors.Is(err, context.DeadlineExceeded) {
+				// The client went away, or the service is shutting down
+				// (io.EOF): the stream ends without a terminal event, and
+				// the client may reconnect.
 				return
 			}
+			if wait == 0 {
+				// Caught up on a finished job without meeting its
+				// req.done, which the log has evicted.
+				terminal(jobOutcome(job), 0, 0)
+				return
+			}
+			if job != nil {
+				if j, ok := s.jobs.get(job.ID); ok && j.terminal() {
+					job, wait = &j, 0
+					continue
+				}
+			}
+			if _, err := io.WriteString(w, ": hb\n\n"); err != nil {
+				return
+			}
+			_ = rc.Flush()
+			continue
 		}
-		if e.Seq > 0 && e.Seq <= maxSeq {
-			continue // already delivered in the replay prefix
+		if e.Kind == obs.StreamGap || e.Seq > resume {
+			if err := writeSSE(w, e); err != nil {
+				return
+			}
+			_ = rc.Flush()
 		}
-		if e.Seq > maxSeq {
-			maxSeq = e.Seq
-		}
-		if err := writeSSE(w, e); err != nil {
-			return
-		}
-		_ = rc.Flush()
 		if e.Kind == obs.ReqDone {
 			terminal(e.Phase, e.Dur, e.T)
 			return

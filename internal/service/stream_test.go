@@ -2,12 +2,17 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -123,6 +128,102 @@ func TestStreamJobEventsMidFlight(t *testing.T) {
 	}
 }
 
+// TestStreamDeliversTraceSliceExactlyOnce pins the seam between the
+// retained trace and the live stream: a stream attached while a solve
+// runs delivers exactly the request's trace slice up to req.done — every
+// event once, in sequence order, with no gap — and a reconnect with
+// Last-Event-ID set to an event in the middle delivers exactly the suffix
+// after it.
+func TestStreamDeliversTraceSliceExactlyOnce(t *testing.T) {
+	svc := New(Config{TraceBuffer: 1 << 16})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	body := instanceBody(t, chainInstance(6, 9.2))
+	resp := postSolve(t, srv.URL+"/v1/solve?solver=optimal&timeout=400ms&mode=async", body)
+	got := readBody(t, resp)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async solve status %d: %s", resp.StatusCode, got)
+	}
+	var job Job
+	if err := json.Unmarshal(got, &job); err != nil {
+		t.Fatal(err)
+	}
+
+	// stream reads one attachment to its terminal and returns the seqs
+	// of the trace events before it.
+	stream := func(lastID int64) []int64 {
+		req, err := http.NewRequest(http.MethodGet, srv.URL+"/v1/jobs/"+job.ID+"/events", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lastID > 0 {
+			req.Header.Set("Last-Event-ID", strconv.FormatInt(lastID, 10))
+		}
+		r, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs := readSSE(t, r)
+		if len(msgs) == 0 || !isTerminal(msgs[len(msgs)-1]) {
+			t.Fatalf("stream (Last-Event-ID %d) did not end with the terminal", lastID)
+		}
+		var seqs []int64
+		for i, m := range msgs[:len(msgs)-1] {
+			if m.name == string(obs.StreamGap) {
+				t.Fatalf("stream (Last-Event-ID %d) has a %d-event gap at message %d", lastID, m.event.Node, i)
+			}
+			if n := len(seqs); n > 0 && m.event.Seq <= seqs[n-1] {
+				t.Fatalf("seq %d after %d: not strictly increasing", m.event.Seq, seqs[n-1])
+			}
+			seqs = append(seqs, m.event.Seq)
+		}
+		return seqs
+	}
+	live := stream(0)
+	t.Logf("%d events streamed", len(live))
+
+	traceResp, err := http.Get(srv.URL + "/v1/jobs/" + job.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := readBody(t, traceResp)
+	if traceResp.StatusCode != http.StatusOK {
+		t.Fatalf("trace status %d: %s", traceResp.StatusCode, raw)
+	}
+	events, err := obs.ReadJSONL(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int64
+	for _, e := range events {
+		want = append(want, e.Seq)
+		if e.Kind == obs.ReqDone {
+			break
+		}
+	}
+	if !slices.Equal(live, want) {
+		t.Fatalf("stream delivered %d events, trace slice up to req.done has %d; first difference at %d",
+			len(live), len(want), firstDiff(live, want))
+	}
+
+	mid := len(live) / 2
+	if suffix := stream(live[mid]); !slices.Equal(suffix, live[mid+1:]) {
+		t.Fatalf("resume after seq %d delivered %d events, want the %d after it; first difference at %d",
+			live[mid], len(suffix), len(live)-mid-1, firstDiff(suffix, live[mid+1:]))
+	}
+}
+
+// firstDiff returns the first index at which a and b differ.
+func firstDiff(a, b []int64) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
 // TestStreamRequestEventsLateJoin: a stream opened after a sync solve
 // finished replays the retained prefix and terminates immediately from
 // the replayed req.done.
@@ -236,18 +337,194 @@ func TestStreamUnknownJob404(t *testing.T) {
 	}
 }
 
+// TestStreamFinishedJobEvicted: a stream opened on a job that finished
+// long ago, its req.done already evicted from the log, ends at once with
+// the terminal synthesized from the job record; it does not idle until a
+// heartbeat first.
+func TestStreamFinishedJobEvicted(t *testing.T) {
+	svc := New(Config{TraceBuffer: 4, Heartbeat: time.Hour})
+	defer svc.Close()
+	svc.solveHook = func(ctx context.Context, req SolveRequest) (*SolveResult, error) {
+		return &SolveResult{Solver: req.Solver, Feasible: true}, nil
+	}
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	body := instanceBody(t, chainInstance(2, 5.0))
+	resp := postSolve(t, srv.URL+"/v1/solve?mode=async&seed=1", body)
+	var job Job
+	if err := json.Unmarshal(readBody(t, resp), &job); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		j, ok := svc.jobs.get(job.ID)
+		return ok && j.terminal()
+	})
+	for _, seed := range []string{"2", "3"} {
+		_ = readBody(t, postSolve(t, srv.URL+"/v1/solve?seed="+seed, body))
+	}
+	if ev := svc.events.ForRequest(job.Request); len(ev) != 0 {
+		t.Fatalf("the job's %d events are still in the four-event log", len(ev))
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/jobs/"+job.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := readSSE(t, stream)
+	if len(msgs) != 1 || !isTerminal(msgs[0]) || msgs[0].event.Phase != OutcomeOK {
+		t.Fatalf("stream = %+v, want only the terminal with outcome ok", msgs)
+	}
+}
+
+// stallWriter is an SSE response writer whose writes block until
+// release is closed: a client that stops reading mid-stream.
+type stallWriter struct {
+	header  http.Header
+	entered chan struct{} // closed by the first Write
+	release chan struct{}
+	once    sync.Once
+	buf     bytes.Buffer // written only after release
+}
+
+func newStallWriter() *stallWriter {
+	return &stallWriter{header: http.Header{}, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (w *stallWriter) Header() http.Header { return w.header }
+func (w *stallWriter) WriteHeader(int)     {}
+func (w *stallWriter) Flush()              {}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return w.buf.Write(p)
+}
+
+// messages parses what the stream wrote.
+func (w *stallWriter) messages(t *testing.T) []sseMessage {
+	return readSSE(t, &http.Response{Header: w.header, Body: io.NopCloser(&w.buf)})
+}
+
+// TestStreamStalledWatcherGetsTerminal: streams on a running job, by job
+// ID and by request ID, stall on their first write while the job
+// finishes and other requests evict every one of its events from the
+// log, req.done included. Each stream still ends, with a stream.gap and
+// then the job's own req.done and terminal, as the per-stream buffer the
+// log replaced guaranteed; no heartbeat is needed to get there.
+func TestStreamStalledWatcherGetsTerminal(t *testing.T) {
+	svc := New(Config{TraceBuffer: 8, Heartbeat: time.Hour})
+	defer svc.Close()
+	gate := make(chan struct{})
+	svc.solveHook = func(ctx context.Context, req SolveRequest) (*SolveResult, error) {
+		<-gate
+		return &SolveResult{Solver: req.Solver, Feasible: true}, nil
+	}
+	h := svc.Handler()
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	body := instanceBody(t, chainInstance(2, 5.0))
+	var job Job
+	if err := json.Unmarshal(readBody(t, postSolve(t, srv.URL+"/v1/solve?mode=async&seed=1", body)), &job); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { j, _ := svc.jobs.get(job.ID); return j.Status == JobRunning })
+
+	routes := []string{"/v1/jobs/" + job.ID + "/events", "/v1/requests/" + job.Request + "/events"}
+	writers := make([]*stallWriter, len(routes))
+	ended := make([]chan struct{}, len(routes))
+	for i, route := range routes {
+		writers[i], ended[i] = newStallWriter(), make(chan struct{})
+		go func() {
+			defer close(ended[i])
+			h.ServeHTTP(writers[i], httptest.NewRequest(http.MethodGet, route, nil))
+		}()
+		<-writers[i].entered
+	}
+
+	close(gate)
+	waitFor(t, func() bool { j, _ := svc.jobs.get(job.ID); return j.terminal() })
+	for seed := 2; len(svc.events.ForRequest(job.Request)) > 0; seed++ {
+		_ = readBody(t, postSolve(t, srv.URL+"/v1/solve?seed="+strconv.Itoa(seed), body))
+	}
+
+	for i, route := range routes {
+		close(writers[i].release)
+		select {
+		case <-ended[i]:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the stream never ended after its req.done was evicted", route)
+		}
+		msgs := writers[i].messages(t)
+		n := len(msgs)
+		if n < 4 || msgs[0].name != string(obs.ReqAdmit) || msgs[1].name != string(obs.StreamGap) ||
+			msgs[n-2].name != string(obs.ReqDone) || !isTerminal(msgs[n-1]) || msgs[n-1].event.Phase != OutcomeOK {
+			t.Fatalf("%s: stream = %+v; want req.admit, stream.gap, ..., req.done, terminal ok", route, msgs)
+		}
+	}
+}
+
+// TestStreamJobFinishedBeforeSubscribe: the job finishes, and its
+// req.done is evicted, between the handler's snapshot of the job record
+// and the stream's subscription. The stream reads the record again when
+// it idles a heartbeat, finds the job finished, and ends with the
+// terminal synthesized from it.
+func TestStreamJobFinishedBeforeSubscribe(t *testing.T) {
+	svc := New(Config{TraceBuffer: 4, Heartbeat: 20 * time.Millisecond})
+	defer svc.Close()
+	svc.solveHook = func(ctx context.Context, req SolveRequest) (*SolveResult, error) {
+		return &SolveResult{Solver: req.Solver, Feasible: true}, nil
+	}
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	body := instanceBody(t, chainInstance(2, 5.0))
+	var stale Job // the 202 answer's snapshot: still queued
+	if err := json.Unmarshal(readBody(t, postSolve(t, srv.URL+"/v1/solve?mode=async&seed=1", body)), &stale); err != nil {
+		t.Fatal(err)
+	}
+	if stale.terminal() {
+		t.Fatalf("202 snapshot is already terminal: %+v", stale)
+	}
+	waitFor(t, func() bool { j, _ := svc.jobs.get(stale.ID); return j.terminal() })
+	for seed := 2; len(svc.events.ForRequest(stale.Request)) > 0; seed++ {
+		_ = readBody(t, postSolve(t, srv.URL+"/v1/solve?seed="+strconv.Itoa(seed), body))
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	rec := httptest.NewRecorder()
+	svc.streamEvents(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+stale.ID+"/events", nil).WithContext(ctx),
+		stale.Request, &stale)
+	if ctx.Err() != nil {
+		t.Fatal("the stream idled until the client gave up")
+	}
+	msgs := readSSE(t, rec.Result())
+	if len(msgs) != 1 || !isTerminal(msgs[0]) || msgs[0].event.Phase != OutcomeOK {
+		t.Fatalf("stream = %+v, want only the terminal with outcome ok", msgs)
+	}
+}
+
 // TestStreamStalledSubscriberNeverBlocksSolve is the service-level
 // backpressure guarantee: a subscriber that never drains cannot delay a
-// solve; its overflow surfaces in the drop counter and the stream gauges.
+// solve; its overflow surfaces in the drop counter, the stream gauges
+// and, exactly, in its own gap marker.
 func TestStreamStalledSubscriberNeverBlocksSolve(t *testing.T) {
 	m := obs.NewMetrics()
-	svc := New(Config{Metrics: m})
+	svc := New(Config{Metrics: m, TraceBuffer: 8})
 	defer svc.Close()
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
-	// Attach a subscriber with a one-event buffer and never read it.
-	sub := svc.bcast.Subscribe(obs.SubscribeOptions{Buffer: 1})
+	// Attach a subscriber to the eight-event log and never read it.
+	sub := svc.events.Subscribe(obs.SubscribeOptions{})
 	defer sub.Close()
 
 	body := instanceBody(t, chainInstance(4, 6.0))
@@ -260,24 +537,33 @@ func TestStreamStalledSubscriberNeverBlocksSolve(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("solve with stalled subscriber took %v", elapsed)
 	}
-	if svc.bcast.Dropped() == 0 {
-		t.Fatal("stalled one-event subscriber recorded no drops")
+	// The middleware writes req.done after the response; wait for it so
+	// the accounting below is final.
+	reqID := resp.Header.Get("X-Request-ID")
+	waitFor(t, func() bool {
+		ev := svc.events.ForRequest(reqID)
+		return len(ev) > 0 && ev[len(ev)-1].Kind == obs.ReqDone
+	})
+	dropped := svc.events.Stats().Dropped
+	if dropped == 0 {
+		t.Fatal("stalled subscriber recorded no drops")
 	}
 	svc.refreshGauges()
 	snap := m.Snapshot()
-	if snap.Gauges["stream.dropped"] == 0 {
-		t.Error("stream.dropped gauge is zero after drops")
+	if snap.Gauges["stream.dropped"] != float64(dropped) {
+		t.Errorf("stream.dropped gauge = %g, want %d", snap.Gauges["stream.dropped"], dropped)
 	}
 	if snap.Gauges["stream.subscribers"] != 1 {
 		t.Errorf("stream.subscribers = %g, want 1", snap.Gauges["stream.subscribers"])
 	}
 
-	// The stalled subscriber's next read surfaces the hole in-band.
+	// The stalled subscriber's next read surfaces the hole in-band, with
+	// its own drop count: here, every drop on the service.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	e, err := sub.Next(ctx)
-	if err != nil || e.Kind != obs.StreamGap || e.Node == 0 {
-		t.Fatalf("first read after stall = %+v, %v; want stream.gap with count", e, err)
+	if err != nil || e.Kind != obs.StreamGap || int64(e.Node) != dropped {
+		t.Fatalf("first read after stall = %+v, %v; want stream.gap with node %d", e, err, dropped)
 	}
 }
 
@@ -303,7 +589,7 @@ func TestRingOccupancyGauge(t *testing.T) {
 	body := instanceBody(t, chainInstance(2, 5.0))
 	resp := postSolve(t, srv.URL+"/v1/solve?seed=1", body)
 	_ = readBody(t, resp)
-	n := svc.ring.Len()
+	n := svc.events.Stats().Len
 	if n == 0 || n >= 8 {
 		t.Fatalf("one request retained %d events, want partial fill of 8", n)
 	}

@@ -76,10 +76,19 @@ type Instance struct {
 	Alpha       float64     `json:"alpha,omitempty"`
 }
 
+// MaxMeshSide bounds each side of an instance's mesh. Building a mesh
+// precomputes candidate paths for every core pair, so its cost climbs
+// much faster than W×H: on a 2-vCPU, 8 GB VM a 12×12 mesh builds in
+// 0.08 s and 61 MB, and a 16×16 one in 0.5 s and 322 MB; a 32×32 mesh
+// exhausts the machine's memory. Without the bound, a request body of a
+// hundred bytes could take down the deployment service.
+const MaxMeshSide = 16
+
 // Build materializes the instance into a solvable system.
 func (in Instance) Build() (*core.System, error) {
-	if in.Mesh.W <= 0 || in.Mesh.H <= 0 {
-		return nil, fmt.Errorf("spec: mesh %dx%d invalid", in.Mesh.W, in.Mesh.H)
+	// Each side is checked on its own, so W×H below cannot overflow.
+	if in.Mesh.W <= 0 || in.Mesh.H <= 0 || in.Mesh.W > MaxMeshSide || in.Mesh.H > MaxMeshSide {
+		return nil, fmt.Errorf("spec: mesh %dx%d invalid (each side must be 1..%d)", in.Mesh.W, in.Mesh.H, MaxMeshSide)
 	}
 	levels := platform.DefaultLevels()
 	if len(in.Platform.Levels) > 0 {

@@ -2,9 +2,11 @@ package spec
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nocdeploy/internal/core"
@@ -53,6 +55,33 @@ func TestInstanceBuildErrors(t *testing.T) {
 	in.Graph.Edges[0].To = 9
 	if _, err := in.Build(); err == nil {
 		t.Error("expected error for bad edge")
+	}
+}
+
+// TestInstanceBuildRejectsOversizedMesh: meshes past MaxMeshSide on
+// either side are refused before anything is built — including sides
+// whose product overflows int — and the largest allowed mesh still
+// passes the check.
+func TestInstanceBuildRejectsOversizedMesh(t *testing.T) {
+	for _, wh := range [][2]int{
+		{32, 32},
+		{MaxMeshSide + 1, 1},
+		{1, MaxMeshSide + 1},
+		{math.MaxInt, 2},
+		{2, math.MaxInt},
+		{math.MaxInt, math.MaxInt},
+		{math.MinInt, -1},
+	} {
+		in := sampleInstance()
+		in.Mesh.W, in.Mesh.H = wh[0], wh[1]
+		if _, err := in.Build(); err == nil || !strings.Contains(err.Error(), "mesh") {
+			t.Errorf("mesh %dx%d: Build error = %v, want a mesh size error", wh[0], wh[1], err)
+		}
+	}
+	in := sampleInstance()
+	in.Mesh.W, in.Mesh.H = MaxMeshSide, 1
+	if _, err := in.Build(); err != nil {
+		t.Errorf("mesh %dx1 rejected: %v", MaxMeshSide, err)
 	}
 }
 
