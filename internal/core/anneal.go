@@ -63,35 +63,37 @@ func AnnealCtx(ctx context.Context, s *System, opts Options, ao AnnealOptions) (
 		return nil, nil, err
 	}
 	if hinfo.Cancelled {
-		hinfo.Runtime = opts.now().Sub(startT)
-		return cur, hinfo, nil
+		return cur, cancelledInfo(opts.now().Sub(startT), tr, "anneal"), nil
 	}
-	cur = cloneDeploymentCore(cur)
 
 	// relaxed ignores the horizon so infeasible states still score.
 	relaxed := *s
 	relaxed.H = math.Inf(1)
 
 	evaluate := func(d *Deployment) annealEval {
-		order, err := scheduleOrder(s, d)
+		order, err := ScheduleOrder(s, d)
 		if err != nil {
 			// Broken existing subgraph: score as structurally infeasible.
 			return annealEval{}
 		}
-		mk := scheduleExisting(s, d, order, func(i int) float64 { return d.CommTime(s, i) })
+		mk := Reschedule(s, d, order)
 		if CheckConstraints(&relaxed, d) != nil {
+			return annealEval{}
+		}
+		m, err := ComputeMetrics(s, d)
+		if err != nil {
 			return annealEval{}
 		}
 		return annealEval{
 			okStruct: true,
 			okFull:   mk <= s.H+timeTol,
-			obj:      objectiveOf(s, d, opts),
+			obj:      m.Objective(opts.Objective),
 			makespan: mk,
 		}
 	}
 
 	curEval := evaluate(cur)
-	best := cloneDeploymentCore(cur)
+	best := cur.Clone()
 	bestEval := curEval
 	scale := math.Max(curEval.obj, 1e-12)
 
@@ -116,7 +118,7 @@ func AnnealCtx(ctx context.Context, s *System, opts Options, ao AnnealOptions) (
 	// propose mutates a clone of cur with one random move; nil means the
 	// move was structurally inadmissible and costs nothing.
 	propose := func() *Deployment {
-		d := cloneDeploymentCore(cur)
+		d := cur.Clone()
 		switch rng.Intn(4) {
 		case 0: // reassign a random existing slot
 			slot := randomExisting(rng, d)
@@ -209,7 +211,7 @@ func AnnealCtx(ctx context.Context, s *System, opts Options, ao AnnealOptions) (
 		if dE <= 0 || rng.Float64() < math.Exp(-dE/math.Max(temp, 1e-12)) {
 			cur, curEval = cand, ce
 			if ce.okFull && (!bestEval.okFull || ce.obj < bestEval.obj) {
-				best = cloneDeploymentCore(cand)
+				best = cand.Clone()
 				bestEval = ce
 			}
 			if tr.Enabled() {
@@ -220,10 +222,14 @@ func AnnealCtx(ctx context.Context, s *System, opts Options, ao AnnealOptions) (
 		}
 	}
 
+	m, err := ComputeMetrics(s, best)
+	if err != nil {
+		return nil, nil, err
+	}
 	info := &SolveInfo{
 		Runtime:   opts.now().Sub(startT),
 		Feasible:  bestEval.okFull && CheckConstraints(s, best) == nil,
-		Objective: objectiveOf(s, best, opts),
+		Objective: m.Objective(opts.Objective),
 		Cancelled: cancelled,
 	}
 	if tr.Enabled() {

@@ -528,11 +528,7 @@ func OptimalCtx(ctx context.Context, s *System, opts Options, oo OptimalOptions)
 	if err != nil {
 		return nil, nil, err
 	}
-	if opts.Objective == MinimizeEnergy {
-		info.Objective = m.SumEnergy
-	} else {
-		info.Objective = m.MaxEnergy
-	}
+	info.Objective = m.Objective(opts.Objective)
 	info.Gap = res.Gap()
 	info.Feasible = CheckConstraints(s, d) == nil
 	finish()

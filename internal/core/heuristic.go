@@ -13,11 +13,12 @@ import (
 	"nocdeploy/internal/reliability"
 )
 
-// energyTol is the absolute tie-break tolerance for energy comparisons in
-// the greedy phases: energies are joule-scale (1e-6..1e-3 for realistic
+// EnergyTol is the absolute tie-break tolerance for energy comparisons in
+// the greedy phases, the local searches and the portfolio engine's
+// acceptance: energies are joule-scale (1e-6..1e-3 for realistic
 // instances), so 1e-15 separates real improvements from accumulated
 // rounding noise without masking genuine ties.
-const energyTol = 1e-15
+const EnergyTol = 1e-15
 
 // SolveInfo reports how a solve went.
 type SolveInfo struct {
@@ -90,15 +91,13 @@ func HeuristicCtx(ctx context.Context, s *System, opts Options, seed int64) (*De
 		return d, cancelledInfo(opts.now().Sub(startT), tr, "heuristic"), nil
 	}
 
-	info := &SolveInfo{Phases: []PhaseTiming{{"P1", t1}, {"P2", t2}, {"P3", t3}}}
 	m, err := ComputeMetrics(s, d)
 	if err != nil {
 		return nil, nil, err
 	}
-	if opts.Objective == MinimizeEnergy {
-		info.Objective = m.SumEnergy
-	} else {
-		info.Objective = m.MaxEnergy
+	info := &SolveInfo{
+		Phases:    []PhaseTiming{{"P1", t1}, {"P2", t2}, {"P3", t3}},
+		Objective: m.Objective(opts.Objective),
 	}
 	info.Feasible = ok1 && ok23 && CheckConstraints(s, d) == nil
 	// Stamped last so Runtime covers the full solve including the metrics
@@ -187,9 +186,9 @@ func phase1FrequencyAndDuplication(s *System, d *Deployment) bool {
 			f := s.Plat.Levels[l].Freq
 			// Primary: smallest resulting maximum; secondary: cheapest;
 			// tertiary: fastest (more reliable).
-			if numeric.LtTol(emax, bestMax, energyTol) ||
-				(numeric.LeqTol(emax, bestMax, energyTol) && (numeric.LtTol(e, bestE, energyTol) ||
-					(numeric.LeqTol(e, bestE, energyTol) && f > bestF))) {
+			if numeric.LtTol(emax, bestMax, EnergyTol) ||
+				(numeric.LeqTol(emax, bestMax, EnergyTol) && (numeric.LtTol(e, bestE, EnergyTol) ||
+					(numeric.LeqTol(e, bestE, EnergyTol) && f > bestF))) {
 				best, bestMax, bestE, bestF = l, emax, e, f
 			}
 		}
@@ -261,8 +260,8 @@ func jointLevels(s *System, i int, runningMax float64) (orig, copyLevel int) {
 			e = math.Max(e, e2)
 		}
 		emax := math.Max(runningMax, e)
-		if numeric.LtTol(emax, bestMax, energyTol) ||
-			(numeric.LeqTol(emax, bestMax, energyTol) && numeric.LtTol(tot, bestTot, energyTol)) {
+		if numeric.LtTol(emax, bestMax, EnergyTol) ||
+			(numeric.LeqTol(emax, bestMax, EnergyTol) && numeric.LtTol(tot, bestTot, EnergyTol)) {
 			best1, best2, bestMax, bestTot = l1, l2, emax, tot
 		}
 	}
@@ -374,13 +373,9 @@ func phase2Allocation(s *System, d *Deployment, seed int64, opts Options) ([]int
 			for kp := range commDelta {
 				commDelta[kp] = 0
 			}
-			if opts.CommEstimate == EstimateConstant {
-				scoreConstant(s, d, opts, comp, comm, eComp, k, &bestK, &bestMax)
-				continue
-			}
 			for _, pa := range sub.Pred(ti) {
 				g := d.Proc[slots[pa]]
-				if g == k {
+				if g == k || opts.CommEstimate == EstimateConstant {
 					continue
 				}
 				bytes := sub.Data(pa, ti)
@@ -404,7 +399,7 @@ func phase2Allocation(s *System, d *Deployment, seed int64, opts Options) ([]int
 					score = e
 				}
 			}
-			if numeric.LtTol(score, bestMax, energyTol) {
+			if numeric.LtTol(score, bestMax, EnergyTol) {
 				bestK, bestMax = k, score
 			}
 		}
@@ -441,27 +436,6 @@ func phase2Allocation(s *System, d *Deployment, seed int64, opts Options) ([]int
 		return avgCommTime(s, d, i)
 	})
 	return slotOrder, nil
-}
-
-// scoreConstant evaluates candidate k under the paper's constant
-// communication estimate: comm contributes equally everywhere, so only
-// computation energy differentiates processors.
-func scoreConstant(s *System, d *Deployment, opts Options, comp, comm []float64, eComp float64, k int, bestK *int, bestMax *float64) {
-	score := 0.0
-	for kp := range comp {
-		e := comp[kp] + comm[kp]
-		if kp == k {
-			e += eComp
-		}
-		if opts.Objective == MinimizeEnergy {
-			score += e
-		} else if e > score {
-			score = e
-		}
-	}
-	if numeric.LtTol(score, *bestMax, energyTol) {
-		*bestK, *bestMax = k, score
-	}
 }
 
 // avgCommTime is t_i^comm with per-pair times averaged over the candidate
@@ -517,17 +491,42 @@ func scheduleExisting(s *System, d *Deployment, order []int, commTime func(i int
 	return makespan
 }
 
+// ScheduleOrder returns a topological order of d's existing slots, the
+// order Reschedule replays them in. It depends on Exists alone, so one
+// order serves every move that leaves Exists unchanged. The error
+// reports a broken existing subgraph (a dependency cycle).
+func ScheduleOrder(s *System, d *Deployment) ([]int, error) {
+	sub, slots := s.exp.ExistingGraph(d.Exists)
+	layers, err := sub.LayersErr()
+	if err != nil {
+		return nil, err
+	}
+	var order []int
+	for _, layer := range layers {
+		for _, t := range layer {
+			order = append(order, slots[t])
+		}
+	}
+	return order, nil
+}
+
+// Reschedule list-schedules d's existing slots in order (see
+// ScheduleOrder) with the communication times of the selected paths,
+// writes their start times and returns the makespan. It restores a
+// consistent schedule after a move changes Proc, Level or PathSel.
+func Reschedule(s *System, d *Deployment, order []int) float64 {
+	return scheduleExisting(s, d, order, func(i int) float64 { return d.CommTime(s, i) })
+}
+
 // phase3PathSelection implements Algorithm 3: for every processor pair with
 // traffic, greedily pick the candidate path minimizing the maximum
 // per-processor energy subject to the horizon (9), starting from the
 // energy-oriented default. It reports whether the final schedule meets the
 // horizon.
 func phase3PathSelection(s *System, d *Deployment, order []int, opts Options) (bool, error) {
-	realComm := func(i int) float64 { return d.CommTime(s, i) }
-
 	if opts.SinglePath {
 		// Baseline: every route pinned to the energy-oriented path.
-		makespan := scheduleExisting(s, d, order, realComm)
+		makespan := Reschedule(s, d, order)
 		return numeric.LeqTol(makespan, s.H, timeTol), nil
 	}
 
@@ -548,17 +547,14 @@ func phase3PathSelection(s *System, d *Deployment, order []int, opts Options) (b
 	}
 
 	evaluate := func() (maxCost, makespan float64, err error) {
-		makespan = scheduleExisting(s, d, order, realComm)
+		makespan = Reschedule(s, d, order)
 		m, err := ComputeMetrics(s, d)
 		if err != nil {
 			// Structure was validated before Phase 3, so a metrics failure
 			// is an internal inconsistency worth surfacing to the caller.
 			return 0, 0, err
 		}
-		if opts.Objective == MinimizeEnergy {
-			return m.SumEnergy, makespan, nil
-		}
-		return m.MaxEnergy, makespan, nil
+		return m.Objective(opts.Objective), makespan, nil
 	}
 
 	for beta := 0; beta < n; beta++ {
@@ -580,7 +576,7 @@ func phase3PathSelection(s *System, d *Deployment, order []int, opts Options) (b
 				if numeric.GtTol(span, s.H, timeTol) {
 					continue // violates (9)
 				}
-				if numeric.LtTol(cost, bestCost, energyTol) {
+				if numeric.LtTol(cost, bestCost, EnergyTol) {
 					bestRho, bestCost = rho, cost
 				}
 			}
@@ -592,6 +588,6 @@ func phase3PathSelection(s *System, d *Deployment, order []int, opts Options) (b
 			d.PathSel[beta][gamma] = bestRho
 		}
 	}
-	makespan := scheduleExisting(s, d, order, realComm)
+	makespan := Reschedule(s, d, order)
 	return numeric.LeqTol(makespan, s.H, timeTol), nil
 }

@@ -42,7 +42,7 @@ func bruteForceOptimal(s *System, opts Options) (float64, bool) {
 		var rec func() bool
 		rec = func() bool {
 			if len(perm) == n {
-				if scheduleExisting(s, d, perm, func(i int) float64 { return d.CommTime(s, i) }) <= s.H+1e-12 {
+				if Reschedule(s, d, perm) <= s.H+1e-12 {
 					return true
 				}
 				return false

@@ -36,8 +36,7 @@ func HeuristicWithRepairCtx(ctx context.Context, s *System, opts Options, seed i
 		return nil, nil, err
 	}
 	if info.Cancelled {
-		info.Runtime = opts.now().Sub(startT)
-		return d, info, nil
+		return d, cancelledInfo(opts.now().Sub(startT), tr, "heuristic+repair"), nil
 	}
 	if info.Feasible {
 		info.Runtime = opts.now().Sub(startT)
@@ -49,7 +48,8 @@ func HeuristicWithRepairCtx(ctx context.Context, s *System, opts Options, seed i
 	}
 	L := s.Plat.L()
 	M := s.Graph.M()
-	for round := 0; round < maxRounds; round++ {
+	feasible := false
+	for round := 0; round < maxRounds && !feasible; round++ {
 		if ctx.Err() != nil {
 			ri := cancelledInfo(opts.now().Sub(startT), tr, "heuristic+repair")
 			return d, ri, nil
@@ -100,34 +100,15 @@ func HeuristicWithRepairCtx(ctx context.Context, s *System, opts Options, seed i
 			ri := cancelledInfo(opts.now().Sub(startT), tr, "heuristic+repair")
 			return d, ri, nil
 		}
-		if ok && CheckConstraints(s, d) == nil {
-			m, err := ComputeMetrics(s, d)
-			if err != nil {
-				return nil, nil, err
-			}
-			obj := m.MaxEnergy
-			if opts.Objective == MinimizeEnergy {
-				obj = m.SumEnergy
-			}
-			ri := &SolveInfo{
-				Runtime:   opts.now().Sub(startT),
-				Feasible:  true,
-				Objective: obj,
-			}
-			done(ri)
-			return d, ri, nil
-		}
+		feasible = ok && CheckConstraints(s, d) == nil
 	}
-	// Repair failed; report the (infeasible) best effort.
+	// The repaired deployment, or the (infeasible) best effort when every
+	// round failed.
 	m, err := ComputeMetrics(s, d)
 	if err != nil {
 		return nil, nil, err
 	}
-	obj := m.MaxEnergy
-	if opts.Objective == MinimizeEnergy {
-		obj = m.SumEnergy
-	}
-	ri := &SolveInfo{Runtime: opts.now().Sub(startT), Feasible: false, Objective: obj}
+	ri := &SolveInfo{Runtime: opts.now().Sub(startT), Feasible: feasible, Objective: m.Objective(opts.Objective)}
 	done(ri)
 	return d, ri, nil
 }
@@ -142,19 +123,17 @@ func Improve(s *System, d *Deployment, opts Options, maxMoves int) (*Deployment,
 	if maxMoves <= 0 {
 		maxMoves = 8 * s.Graph.M()
 	}
-	best := cloneDeploymentCore(d)
-	bestObj := objectiveOf(s, best, opts)
+	best, bestObj := d.Clone(), math.Inf(1)
+	if m, err := ComputeMetrics(s, best); err == nil {
+		bestObj = m.Objective(opts.Objective)
+	}
 	accepted := 0
 
-	order, err := scheduleOrder(s, best)
+	order, err := ScheduleOrder(s, best)
 	if err != nil {
 		// The input deployment's existing subgraph is broken; no move can
 		// fix that, so return the input unchanged.
 		return best, bestObj, 0
-	}
-	reschedule := func(cand *Deployment) bool {
-		scheduleExisting(s, cand, order, func(i int) float64 { return cand.CommTime(s, i) })
-		return CheckConstraints(s, cand) == nil
 	}
 
 	for accepted < maxMoves {
@@ -168,12 +147,9 @@ func Improve(s *System, d *Deployment, opts Options, maxMoves int) (*Deployment,
 				if k == best.Proc[i] {
 					continue
 				}
-				cand := cloneDeploymentCore(best)
+				cand := best.Clone()
 				cand.Proc[i] = k
-				if !reschedule(cand) {
-					continue
-				}
-				if obj := objectiveOf(s, cand, opts); numeric.LtTol(obj, bestObj, energyTol) {
+				if obj, ok := improves(s, cand, order, opts, bestObj); ok {
 					best, bestObj = cand, obj
 					accepted++
 					improved = true
@@ -188,12 +164,9 @@ func Improve(s *System, d *Deployment, opts Options, maxMoves int) (*Deployment,
 					if b == g {
 						continue
 					}
-					cand := cloneDeploymentCore(best)
+					cand := best.Clone()
 					cand.PathSel[b][g] = 1 - cand.PathSel[b][g]
-					if !reschedule(cand) {
-						continue
-					}
-					if obj := objectiveOf(s, cand, opts); numeric.LtTol(obj, bestObj, energyTol) {
+					if obj, ok := improves(s, cand, order, opts, bestObj); ok {
 						best, bestObj = cand, obj
 						accepted++
 						improved = true
@@ -215,9 +188,11 @@ func Improve(s *System, d *Deployment, opts Options, maxMoves int) (*Deployment,
 // construction the result is never worse than the input, which makes it
 // the fair per-instance "multi-path vs single-path" comparison.
 func ImprovePaths(s *System, d *Deployment, opts Options) (*Deployment, float64) {
-	best := cloneDeploymentCore(d)
-	bestObj := objectiveOf(s, best, opts)
-	order, err := scheduleOrder(s, best)
+	best, bestObj := d.Clone(), math.Inf(1)
+	if m, err := ComputeMetrics(s, best); err == nil {
+		bestObj = m.Objective(opts.Objective)
+	}
+	order, err := ScheduleOrder(s, best)
 	if err != nil {
 		return best, bestObj
 	}
@@ -228,13 +203,9 @@ func ImprovePaths(s *System, d *Deployment, opts Options) (*Deployment, float64)
 				if b == g {
 					continue
 				}
-				cand := cloneDeploymentCore(best)
+				cand := best.Clone()
 				cand.PathSel[b][g] = 1 - cand.PathSel[b][g]
-				scheduleExisting(s, cand, order, func(i int) float64 { return cand.CommTime(s, i) })
-				if CheckConstraints(s, cand) != nil {
-					continue
-				}
-				if obj := objectiveOf(s, cand, opts); numeric.LtTol(obj, bestObj, energyTol) {
+				if obj, ok := improves(s, cand, order, opts, bestObj); ok {
 					best, bestObj = cand, obj
 					changed = true
 				}
@@ -244,44 +215,19 @@ func ImprovePaths(s *System, d *Deployment, opts Options) (*Deployment, float64)
 	return best, bestObj
 }
 
-// scheduleOrder returns a topological order of the existing slots (the
-// order the list scheduler replays moves in).
-func scheduleOrder(s *System, d *Deployment) ([]int, error) {
-	sub, slots := s.exp.ExistingGraph(d.Exists)
-	layers, err := sub.LayersErr()
+// improves reschedules the candidate move cand in order and returns its
+// objective when cand stays feasible and beats bestObj by more than
+// EnergyTol. Constraints are checked first, so an infeasible move costs
+// no metrics pass.
+func improves(s *System, cand *Deployment, order []int, opts Options, bestObj float64) (float64, bool) {
+	Reschedule(s, cand, order)
+	if CheckConstraints(s, cand) != nil {
+		return 0, false
+	}
+	m, err := ComputeMetrics(s, cand)
 	if err != nil {
-		return nil, err
+		return 0, false
 	}
-	var order []int
-	for _, layer := range layers {
-		for _, t := range layer {
-			order = append(order, slots[t])
-		}
-	}
-	return order, nil
-}
-
-func objectiveOf(s *System, d *Deployment, opts Options) float64 {
-	m, err := ComputeMetrics(s, d)
-	if err != nil {
-		return math.Inf(1)
-	}
-	if opts.Objective == MinimizeEnergy {
-		return m.SumEnergy
-	}
-	return m.MaxEnergy
-}
-
-// cloneDeploymentCore deep-copies a deployment.
-func cloneDeploymentCore(d *Deployment) *Deployment {
-	c := &Deployment{
-		Exists: append([]bool(nil), d.Exists...),
-		Level:  append([]int(nil), d.Level...),
-		Proc:   append([]int(nil), d.Proc...),
-		Start:  append([]float64(nil), d.Start...),
-	}
-	for _, row := range d.PathSel {
-		c.PathSel = append(c.PathSel, append([]int(nil), row...))
-	}
-	return c
+	obj := m.Objective(opts.Objective)
+	return obj, numeric.LtTol(obj, bestObj, EnergyTol)
 }

@@ -145,7 +145,7 @@ func TestImproveDoesNotMutateInput(t *testing.T) {
 	if !info.Feasible {
 		t.Skip("infeasible instance")
 	}
-	snapshot := cloneDeploymentCore(d)
+	snapshot := d.Clone()
 	Improve(s, d, Options{}, 0)
 	for i := range d.Proc {
 		if d.Proc[i] != snapshot.Proc[i] || d.Level[i] != snapshot.Level[i] ||

@@ -236,6 +236,20 @@ func NewDeployment(s *System) *Deployment {
 	return d
 }
 
+// Clone deep-copies the deployment, including the path-selection matrix.
+func (d *Deployment) Clone() *Deployment {
+	c := &Deployment{
+		Exists: append([]bool(nil), d.Exists...),
+		Level:  append([]int(nil), d.Level...),
+		Proc:   append([]int(nil), d.Proc...),
+		Start:  append([]float64(nil), d.Start...),
+	}
+	for _, row := range d.PathSel {
+		c.PathSel = append(c.PathSel, append([]int(nil), row...))
+	}
+	return c
+}
+
 // End returns t_i^e = t_i^s + t_i^comp for slot i under the system's
 // timing model (zero-length if the slot does not exist).
 func (d *Deployment) End(s *System, i int) float64 {

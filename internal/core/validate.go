@@ -28,6 +28,15 @@ type Metrics struct {
 // Energy returns E_k^comp + E_k^comm for processor k.
 func (m *Metrics) Energy(k int) float64 { return m.CompEnergy[k] + m.CommEnergy[k] }
 
+// Objective returns the figure o minimizes: MaxEnergy for BE, SumEnergy
+// for ME. It is the one rule that turns metrics into an objective value.
+func (m *Metrics) Objective(o Objective) float64 {
+	if o == MinimizeEnergy {
+		return m.SumEnergy
+	}
+	return m.MaxEnergy
+}
+
 // timeTol is the slack allowed when checking timing constraints, absorbing
 // floating-point drift from the MILP solver.
 const timeTol = 1e-6

@@ -9,7 +9,7 @@
 // options) — byte-identical traces and identical incumbents at any Workers
 // value. The engine earns this with a batch-synchronous loop: a seeded
 // coordinator serially draws a fixed-size batch of (operator, derived seed)
-// applications, the batch executes concurrently on a runner.Pool, and the
+// applications, the batch executes concurrently through runner.Map, and the
 // reduction — validation, acceptance, reward, telemetry — replays serially
 // in submission order. Worker count changes only wall-clock, never the
 // decision sequence, because every operator application is itself a pure
@@ -22,7 +22,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
 
 	"nocdeploy/internal/core"
 	"nocdeploy/internal/numeric"
@@ -33,10 +32,16 @@ import (
 // Defaults for zero-valued Options fields.
 const (
 	defaultRounds      = 12
-	defaultWarmup      = 2
-	defaultAlpha       = 0.3
 	defaultNodeBudget  = 150
 	defaultAnnealIters = 400
+)
+
+// Operator selection: warmupRounds rounds sweep the portfolio round-robin
+// before the roulette over smoothed improvement scores takes over; alpha
+// is the scores' exponential smoothing factor.
+const (
+	warmupRounds = 2
+	alpha        = 0.3
 	// scoreFloor keeps every operator selectable under roulette: a move
 	// that has not paid off recently still gets occasional applications,
 	// so the portfolio never collapses onto one operator.
@@ -59,15 +64,10 @@ type Options struct {
 	// of operators). Fixed per run and independent of Workers, so the
 	// application schedule is worker-count-invariant.
 	Batch int
-	// Workers sizes the runner.Pool racing a batch (0 → GOMAXPROCS via
-	// runner.Workers). Changes throughput only, never results.
+	// Workers bounds the goroutines running a batch through runner.Map
+	// (0 → GOMAXPROCS via runner.Workers). Changes throughput only, never
+	// results.
 	Workers int
-	// Warmup is the number of initial round-robin rounds before selection
-	// turns adaptive (0 → 2).
-	Warmup int
-	// Alpha is the exponential smoothing factor of the per-operator
-	// improvement scores (0 → 0.3).
-	Alpha float64
 	// NodeBudget bounds each warm-started exact solve inside operators
 	// (0 → 150; < 0 disables exact polishing).
 	NodeBudget int
@@ -89,20 +89,6 @@ func (o Options) batch(nOps int) int {
 	return o.Batch
 }
 
-func (o Options) warmup() int {
-	if o.Warmup <= 0 {
-		return defaultWarmup
-	}
-	return o.Warmup
-}
-
-func (o Options) alpha() float64 {
-	if o.Alpha <= 0 || o.Alpha > 1 {
-		return defaultAlpha
-	}
-	return o.Alpha
-}
-
 func (o Options) nodeBudget() int {
 	if o.NodeBudget < 0 {
 		return 0
@@ -118,41 +104,6 @@ func (o Options) annealIters() int {
 		return defaultAnnealIters
 	}
 	return o.AnnealIters
-}
-
-// Engine holds the shared solve state of one portfolio run. The incumbent
-// lives under a mutex — operators race on pool workers against private
-// clones, and only the serial reduction (plus concurrent Best observers,
-// e.g. a deadline watchdog) touches the shared copy.
-type Engine struct {
-	mu       sync.Mutex
-	best     *core.Deployment
-	bestObj  float64
-	feasible bool
-}
-
-// Best returns a clone of the current incumbent with its objective and
-// feasibility. Safe to call concurrently with a running solve; the clone
-// means callers can never alias engine-owned state.
-func (e *Engine) Best() (*core.Deployment, float64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return core.CloneDeployment(e.best), e.bestObj, e.feasible
-}
-
-func (e *Engine) setBest(d *core.Deployment, obj float64, feasible bool) {
-	e.mu.Lock()
-	e.best, e.bestObj, e.feasible = d, obj, feasible
-	e.mu.Unlock()
-}
-
-func (e *Engine) snapshot() (*core.Deployment, float64, bool) {
-	return e.Best()
-}
-
-// Solve runs a portfolio solve without external cancellation.
-func Solve(s *core.System, copts core.Options, eo Options) (*core.Deployment, *core.SolveInfo, error) {
-	return SolveCtx(context.Background(), s, copts, eo)
 }
 
 // SolveCtx runs the anytime portfolio solve. It constructs an initial
@@ -183,7 +134,7 @@ func SolveCtx(ctx context.Context, s *core.System, copts core.Options, eo Option
 	tr.Emit(obs.Event{Kind: obs.SolveStart, Label: "portfolio"})
 
 	// Operator solves share the caller's options minus the trace: inner
-	// events would interleave nondeterministically across pool workers.
+	// events would interleave nondeterministically across batch workers.
 	inner := copts
 	inner.Trace = nil
 
@@ -191,17 +142,16 @@ func SolveCtx(ctx context.Context, s *core.System, copts core.Options, eo Option
 	// incumbent. Background context on purpose — the anytime contract
 	// promises a deployment even when the caller's deadline has already
 	// passed, and the constructive heuristic is the cheap part.
-	d0, info0, err := core.HeuristicWithRepairCtx(context.Background(), s, inner, eo.Seed, 0)
+	best, info0, err := core.HeuristicWithRepairCtx(context.Background(), s, inner, eo.Seed, 0)
 	if err != nil {
 		return nil, nil, err
 	}
 	constructDur := clock.Now().Sub(start)
 
-	eng := &Engine{}
-	eng.setBest(d0, info0.Objective, info0.Feasible)
-
-	var incumbents []core.IncumbentPoint
-	incumbents = append(incumbents, core.IncumbentPoint{T: constructDur, Obj: info0.Objective})
+	// The incumbent. Only the serial reduction below replaces it, and
+	// every application works on its own clone, so it needs no lock.
+	bestObj, bestFeas := info0.Objective, info0.Feasible
+	incumbents := []core.IncumbentPoint{{T: constructDur, Obj: bestObj}}
 
 	rng := rand.New(rand.NewSource(eo.Seed))
 	scores := make([]float64, len(ops))
@@ -209,21 +159,14 @@ func SolveCtx(ctx context.Context, s *core.System, copts core.Options, eo Option
 		scores[i] = 1
 	}
 	batch := eo.batch(len(ops))
-	warmup := eo.warmup()
-	alpha := eo.alpha()
 	budget := eo.nodeBudget()
-
-	pool := runner.NewPool(eo.Workers, batch, nil)
-	defer pool.Close()
 
 	type application struct {
 		op   int
 		seed int64
-		st   *State
 		out  Delta
 		ok   bool
 		dur  float64
-		done <-chan error
 	}
 
 	apps := 0 // global application counter
@@ -234,67 +177,51 @@ func SolveCtx(ctx context.Context, s *core.System, copts core.Options, eo Option
 			cancelled = true
 			break
 		}
-		curBest, curObj, curFeas := eng.snapshot()
 
 		// Serial selection: warmup rounds sweep the portfolio round-robin
 		// so every operator earns an observed score before the roulette
 		// starts trusting the scores.
-		batchApps := make([]*application, batch)
-		for b := 0; b < batch; b++ {
-			var op int
-			if round < warmup {
-				op = (round*batch + b) % len(ops)
-			} else {
+		batchApps := make([]application, batch)
+		for b := range batchApps {
+			op := (round*batch + b) % len(ops)
+			if round >= warmupRounds {
 				op = roulette(rng, scores)
 			}
-			batchApps[b] = &application{
-				op:   op,
-				seed: deriveSeed(eo.Seed, apps+b),
-			}
+			batchApps[b] = application{op: op, seed: deriveSeed(eo.Seed, apps+b)}
 		}
 
 		// Concurrent execution: each application gets a private clone of
 		// the round-start incumbent and runs as a pure function of it.
-		for _, a := range batchApps {
-			a.st = &State{
+		// Once ctx is done, Map starts no further application and those
+		// not started reduce as noops; Map's error can only be ctx's,
+		// which the round check and SolveInfo.Cancelled report. An
+		// operator panic is recovered in place and reduced as a noop
+		// too, so a buggy operator never stops its batch-mates.
+		_, _ = runner.Map(ctx, eo.Workers, batch, func(ctx context.Context, b int) (struct{}, error) {
+			a := &batchApps[b]
+			defer func() { _ = recover() }()
+			st := &State{
 				Sys:        s,
 				Opts:       inner,
-				Incumbent:  core.CloneDeployment(curBest),
-				Objective:  curObj,
-				Feasible:   curFeas,
+				Incumbent:  best.Clone(),
+				Objective:  bestObj,
+				Feasible:   bestFeas,
 				Seed:       a.seed,
 				NodeBudget: budget,
 			}
-			a := a
-			run := func() error {
-				t0 := clock.Now()
-				a.out, a.ok = ops[a.op].Apply(ctx, a.st)
-				a.dur = clock.Now().Sub(t0).Seconds()
-				return nil
-			}
-			if done, serr := pool.TrySubmit(run); serr == nil {
-				a.done = done
-			} else {
-				// Bounded queue rejected the task (can only happen if the
-				// queue is shared beyond this batch); run inline — the
-				// reduction below is order-based, not placement-based.
-				_ = run()
-			}
-		}
-		for _, a := range batchApps {
-			if a.done != nil {
-				<-a.done
-			}
-		}
+			t0 := clock.Now()
+			a.out, a.ok = ops[a.op].Apply(ctx, st)
+			a.dur = clock.Now().Sub(t0).Seconds()
+			return struct{}{}, nil
+		})
 
 		// Serial reduction in submission order: validation, acceptance,
 		// reward and telemetry replay identically at any worker count.
 		for _, a := range batchApps {
 			apps++
-			name := ops[a.op].Name()
 			phase := "noop"
 			reward := 0.0
-			evObj := curObj
+			evObj := bestObj
 			if a.ok && a.out.Deployment != nil {
 				m, verr := core.Validate(s, a.out.Deployment)
 				switch {
@@ -304,15 +231,14 @@ func SolveCtx(ctx context.Context, s *core.System, copts core.Options, eo Option
 					phase = "infeasible"
 				case verr != nil:
 					phase = "infeasible"
-					evObj = objectiveOf(m, inner)
+					evObj = m.Objective(copts.Objective)
 				default:
-					obj := objectiveOf(m, inner)
+					obj := m.Objective(copts.Objective)
 					evObj = obj
-					if !curFeas || numeric.LtTol(obj, curObj, objTol) {
+					if !bestFeas || numeric.LtTol(obj, bestObj, core.EnergyTol) {
 						phase = "improved"
 						reward = 1
-						curBest, curObj, curFeas = a.out.Deployment, obj, true
-						eng.setBest(curBest, curObj, curFeas)
+						best, bestObj, bestFeas = a.out.Deployment, obj, true
 						incumbents = append(incumbents, core.IncumbentPoint{
 							T:   clock.Now().Sub(start),
 							Obj: obj,
@@ -326,7 +252,7 @@ func SolveCtx(ctx context.Context, s *core.System, copts core.Options, eo Option
 			scores[a.op] = (1-alpha)*scores[a.op] + alpha*reward
 			tr.Emit(obs.Event{
 				Kind:  obs.EngineOpApply,
-				Label: name,
+				Label: ops[a.op].Name(),
 				Node:  apps,
 				Obj:   evObj,
 				Bound: scores[a.op],
@@ -334,19 +260,18 @@ func SolveCtx(ctx context.Context, s *core.System, copts core.Options, eo Option
 				Phase: phase,
 			})
 		}
-		tr.Emit(obs.Event{Kind: obs.EngineIter, Node: round + 1, Obj: curObj, Iters: apps})
+		tr.Emit(obs.Event{Kind: obs.EngineIter, Node: round + 1, Obj: bestObj, Iters: apps})
 		tr.Emit(obs.Event{Kind: obs.EngineWeights, Node: round + 1, Label: weightsLabel(ops, scores)})
 	}
 
 	// Return the re-validated best-so-far: acceptance already validated
 	// every improvement, but the final check is the engine's own proof
-	// that no operator corrupted the shared incumbent.
-	best, bestObj, bestFeas := eng.Best()
+	// that no operator corrupted the incumbent.
 	m, verr := core.Validate(s, best)
 	if m == nil {
 		return nil, nil, fmt.Errorf("engine: incumbent failed validation: %w", verr)
 	}
-	bestObj = objectiveOf(m, inner)
+	bestObj = m.Objective(copts.Objective)
 	bestFeas = verr == nil
 	elapsed := clock.Now().Sub(start)
 	outcome := "feasible"
@@ -367,14 +292,6 @@ func SolveCtx(ctx context.Context, s *core.System, copts core.Options, eo Option
 		Incumbents: incumbents,
 	}
 	return best, info, nil
-}
-
-// objectiveOf reads the configured objective off already-computed metrics.
-func objectiveOf(m *core.Metrics, opts core.Options) float64 {
-	if opts.Objective == core.MinimizeEnergy {
-		return m.SumEnergy
-	}
-	return m.MaxEnergy
 }
 
 // roulette draws one operator index proportionally to its floored score —

@@ -66,7 +66,7 @@ func TestPortfolioNeverWorseThanRepair(t *testing.T) {
 		if err != nil {
 			t.Fatalf("instance %d: repair: %v", i, err)
 		}
-		pd, pinfo, err := engine.Solve(s, core.Options{}, fi.eo)
+		pd, pinfo, err := engine.SolveCtx(context.Background(), s, core.Options{}, fi.eo)
 		if err != nil {
 			t.Fatalf("instance %d: portfolio: %v", i, err)
 		}

@@ -11,11 +11,6 @@ import (
 	"nocdeploy/internal/numeric"
 )
 
-// objTol is the absolute tie-break tolerance for objective comparisons,
-// matching the greedy phases of the core heuristic: joule-scale energies
-// separated from accumulated rounding noise.
-const objTol = 1e-15
-
 // State is the read-only snapshot one operator application works from. The
 // engine clones the shared incumbent into Incumbent before Apply, so the
 // operator may mutate it freely; everything else is shared and must not be
@@ -170,7 +165,7 @@ func (pathsOp) Apply(ctx context.Context, st *State) (Delta, bool) {
 		return Delta{}, false
 	}
 	d, obj := core.ImprovePaths(st.Sys, st.Incumbent, st.Opts)
-	if !numeric.LtTol(obj, st.Objective, objTol) {
+	if !numeric.LtTol(obj, st.Objective, core.EnergyTol) {
 		return Delta{}, false
 	}
 	return Delta{Deployment: d, Objective: obj, Feasible: true}, true
@@ -198,7 +193,7 @@ func (o regionOp) Apply(ctx context.Context, st *State) (Delta, bool) {
 			inRegion[k] = true
 		}
 	}
-	d := core.CloneDeployment(st.Incumbent)
+	d := st.Incumbent
 	var destroyed []int
 	total := 0
 	for i := range d.Exists {
@@ -252,7 +247,7 @@ func (subtreeOp) Apply(ctx context.Context, st *State) (Delta, bool) {
 			}
 		}
 	}
-	d := core.CloneDeployment(st.Incumbent)
+	d := st.Incumbent
 	var destroyed []int
 	total := 0
 	for i := range d.Exists {
@@ -292,25 +287,28 @@ func repairDestroyed(ctx context.Context, st *State, d *core.Deployment, destroy
 		}
 		return ia < ib
 	})
+	// Placements change Proc only, so one schedule order serves them all.
+	order, err := core.ScheduleOrder(st.Sys, d)
+	if err != nil {
+		return Delta{}, false // broken existing subgraph; no placement can fix it
+	}
 	n := st.Sys.Mesh.N()
 	for _, slot := range destroyed {
 		bestK, bestObj, bestFits := -1, math.Inf(1), false
 		for k := 0; k < n; k++ {
 			d.Proc[slot] = k
-			mk, err := core.Reschedule(st.Sys, d)
-			if err != nil {
-				return Delta{}, false // broken existing subgraph; no placement can fix it
-			}
-			obj, err := core.DeploymentObjective(st.Sys, d, st.Opts)
+			mk := core.Reschedule(st.Sys, d, order)
+			m, err := core.ComputeMetrics(st.Sys, d)
 			if err != nil {
 				continue
 			}
+			obj := m.Objective(st.Opts.Objective)
 			fits := numeric.LeqTol(mk, st.Sys.H, 1e-9)
 			// Horizon-respecting placements beat overruns; within a class
 			// the smaller objective wins, ties to the lowest processor.
 			switch {
 			case fits && !bestFits,
-				fits == bestFits && numeric.LtTol(obj, bestObj, objTol):
+				fits == bestFits && numeric.LtTol(obj, bestObj, core.EnergyTol):
 				bestK, bestObj, bestFits = k, obj, fits
 			}
 		}
@@ -318,14 +316,13 @@ func repairDestroyed(ctx context.Context, st *State, d *core.Deployment, destroy
 			return Delta{}, false
 		}
 		d.Proc[slot] = bestK
-		if _, err := core.Reschedule(st.Sys, d); err != nil {
-			return Delta{}, false
-		}
+		core.Reschedule(st.Sys, d, order)
 	}
-	obj, err := core.DeploymentObjective(st.Sys, d, st.Opts)
+	m, err := core.ComputeMetrics(st.Sys, d)
 	if err != nil {
 		return Delta{}, false
 	}
+	obj := m.Objective(st.Opts.Objective)
 	feasible := core.CheckConstraints(st.Sys, d) == nil
 	if st.NodeBudget > 0 {
 		d, obj, feasible = exactPolish(ctx, st, d, obj, feasible)
@@ -348,7 +345,7 @@ func exactPolish(ctx context.Context, st *State, d *core.Deployment, obj float64
 	if err != nil || pd == nil || !pinfo.Feasible {
 		return d, obj, feasible
 	}
-	if !feasible || numeric.LtTol(pinfo.Objective, obj, objTol) {
+	if !feasible || numeric.LtTol(pinfo.Objective, obj, core.EnergyTol) {
 		return pd, pinfo.Objective, true
 	}
 	return d, obj, feasible

@@ -7,9 +7,10 @@ type Kind string
 // Event kinds, grouped by emitting subsystem.
 const (
 	// SolveStart/SolveDone bracket one top-level solve. Label names the
-	// solver ("heuristic", "repair", "anneal", "optimal"); SolveDone
-	// carries the objective in Obj and the outcome in Phase
-	// ("feasible" / "infeasible" / a milp.Status string).
+	// solver ("heuristic", "heuristic+repair", "anneal", "optimal",
+	// "portfolio"); SolveDone carries the objective in Obj and the
+	// outcome in Phase ("feasible" / "infeasible" / "cancelled"). Every
+	// SolveStart gets its SolveDone, a cancelled solve included.
 	SolveStart Kind = "solve.start"
 	SolveDone  Kind = "solve.done"
 

@@ -9,6 +9,7 @@ import (
 
 	"nocdeploy/internal/core"
 	"nocdeploy/internal/exp"
+	"nocdeploy/internal/obs"
 	"nocdeploy/internal/solve"
 )
 
@@ -112,6 +113,50 @@ func TestValidate(t *testing.T) {
 	} {
 		if c.o.Validate(c.solver) == nil {
 			t.Errorf("%s with %+v accepted", c.solver, c.o)
+		}
+	}
+}
+
+// spanSink counts solve spans by label: +1 on solve.start, -1 on
+// solve.done.
+type spanSink struct{ open map[string]int }
+
+func (s *spanSink) Write(e obs.Event) {
+	switch e.Kind {
+	case obs.SolveStart:
+		s.open[e.Label]++
+	case obs.SolveDone:
+		s.open[e.Label]--
+	}
+}
+
+func (s *spanSink) Close() error { return nil }
+
+// TestCancelledSolveClosesSpans runs every solver under a context
+// cancelled in advance and checks that each solve.start it emits gets its
+// solve.done, so a Chrome trace of a cancelled solve has no unterminated
+// slice.
+func TestCancelledSolveClosesSpans(t *testing.T) {
+	sys, err := exp.Build(exp.InstanceParams{MeshW: 2, MeshH: 2, M: 4, L: 3, Alpha: 1.0, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range solve.Names() {
+		sink := &spanSink{open: map[string]int{}}
+		o := contractOptions(name)
+		o.Core.Trace = obs.New(sink)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, _, err := solve.Run(ctx, sys, name, o); err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(sink.open) == 0 {
+			t.Errorf("%s: no solve span emitted", name)
+		}
+		for label, n := range sink.open {
+			if n != 0 {
+				t.Errorf("%s: %d %q span(s) left open", name, n, label)
+			}
 		}
 	}
 }
