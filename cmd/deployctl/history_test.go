@@ -12,11 +12,11 @@ import (
 	"nocdeploy/internal/service"
 )
 
-// startArchivedServer is startServer plus a memory-mode solve archive, so
-// history/report/advise have something to query.
+// startArchivedServer is startServer plus a solve archive in a temporary
+// directory, so history/report/advise have something to query.
 func startArchivedServer(t *testing.T) (*client, *bytes.Buffer, func()) {
 	t.Helper()
-	arch, err := archive.Open(archive.Options{})
+	arch, err := archive.Open(archive.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,11 @@
 // -archive-dir enables the persistent solve archive (internal/archive):
 // every non-cached solve is recorded as segmented JSONL under DIR,
 // queryable at GET /v1/archive (deployctl history/report/advise) and
-// powering solver=auto. -archive-retention bounds total on-disk bytes
-// and -archive-max-age expires old records; the index is recovered from
-// the segments on restart, so history survives daemon restarts.
+// powering solver=auto. -archive-retention bounds total on-disk bytes;
+// -archive-max-age hides records older than D from every query and
+// deletes a sealed segment once its newest record is that old. The index
+// is recovered from the segments on restart, so history survives daemon
+// restarts.
 //
 // On SIGTERM/SIGINT the daemon stops accepting work, drains in-flight
 // requests and queued solves, and exits 0 — orchestrators can treat a
@@ -83,7 +85,7 @@ func main() {
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty disables)")
 		archiveDir  = flag.String("archive-dir", "", "persistent solve archive directory (empty disables)")
 		archiveMax  = flag.Int64("archive-retention", 256<<20, "archive size bound in bytes (oldest segments deleted past it)")
-		archiveAge  = flag.Duration("archive-max-age", 0, "expire archive records older than this (0 = keep forever)")
+		archiveAge  = flag.Duration("archive-max-age", 0, "hide archive records older than this; a sealed segment is deleted once its newest record is (0 = keep forever)")
 	)
 	flag.Parse()
 

@@ -2,14 +2,16 @@ package archive
 
 import "sort"
 
-// Signature is the instance identity the advisor matches on: the exact
-// canonical hash, and the shape features (task count, mesh) that define
-// an instance family when the exact hash has no history.
+// Signature is what the advisor matches on: the exact canonical hash and
+// the request's objective ("be" or "me"; empty reads as "be"), plus the
+// shape features (task count, mesh) that define an instance family when
+// the exact hash has no history.
 type Signature struct {
-	Hash  string `json:"hash,omitempty"`
-	Tasks int    `json:"tasks"`
-	MeshW int    `json:"meshW"`
-	MeshH int    `json:"meshH"`
+	Hash      string `json:"hash,omitempty"`
+	Objective string `json:"objective,omitempty"`
+	Tasks     int    `json:"tasks"`
+	MeshW     int    `json:"meshW"`
+	MeshH     int    `json:"meshH"`
 }
 
 // DefaultSolver is the advisor's no-history fallback: the repaired
@@ -17,35 +19,32 @@ type Signature struct {
 const DefaultSolver = "repair"
 
 // Advise recommends a solver (and engine options, when the winning
-// history is a portfolio configuration) for an instance. The policy
-// escalates through three evidence tiers, recording which one decided in
+// history is a portfolio configuration) for an instance, from history:
+// archived summaries in List order, newest first. Only ok+feasible
+// records solved under sig's objective count — a BE objective says
+// nothing about ME, and the two are on different scales. The policy
+// escalates through evidence tiers, recording which one decided in
 // Decision.Basis:
 //
-//   - "instance": the exact hash has ok+feasible history — pick the
-//     solver with the lowest mean final objective on this instance.
+//   - "instance": the exact hash has history — pick the solver with the
+//     lowest mean final objective on this instance.
 //   - "family": no exact history, but instances with the same mesh and a
 //     task count within a factor of two exist — pick the solver with the
 //     most per-instance wins inside the family.
-//   - "global": no family either — most wins across the whole archive.
+//   - "global": no family either — most wins across the whole history.
 //   - "default": no usable history at all — DefaultSolver.
 //
 // All tie-breaks are lexicographic on the solver name, so the decision
-// is a pure function of the archived summaries. Nil-safe: a nil Store
-// returns the default decision.
-func (s *Store) Advise(sig Signature) Decision {
-	if s == nil {
-		return Decision{Solver: DefaultSolver, Basis: "default"}
-	}
-	recs := s.List(Filter{Outcome: OutcomeOK})
-	ok := recs[:0]
-	for _, r := range recs {
-		if r.Feasible {
-			ok = append(ok, r)
-		}
-	}
+// is a pure function of history and sig; an empty history returns the
+// default decision.
+func Advise(history []Summary, sig Signature) Decision {
+	want := keyOf(sig.Hash, sig.Objective)
+	ok := filterRecs(history, func(r Summary) bool {
+		return r.Outcome == OutcomeOK && r.Feasible && r.key().objective == want.objective
+	})
 
 	if sig.Hash != "" {
-		exact := filterRecs(ok, func(r Summary) bool { return r.Hash == sig.Hash })
+		exact := filterRecs(ok, func(r Summary) bool { return r.key() == want })
 		if len(exact) > 0 {
 			return decideByMeanObjective(exact, "instance")
 		}

@@ -2,32 +2,24 @@ package archive
 
 import "testing"
 
-// memStore builds a memory-mode store preloaded with summaries.
-func memStore(t *testing.T, recs ...*Record) *Store {
-	t.Helper()
-	s, err := Open(Options{Clock: testClock()})
-	if err != nil {
-		t.Fatal(err)
+// history lists recs, given in append order, as Store.List returns
+// them: newest first.
+func history(recs ...*Record) []Summary {
+	out := make([]Summary, 0, len(recs))
+	for i := len(recs) - 1; i >= 0; i-- {
+		out = append(out, recs[i].summary())
 	}
-	t.Cleanup(func() {
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	for _, r := range recs {
-		s.Append(r)
-	}
-	return s
+	return out
 }
 
 func TestAdviseInstanceTier(t *testing.T) {
-	s := memStore(t,
+	h := history(
 		rec("h1", "repair", 10, at(1)),
 		rec("h1", "anneal", 8, at(2)),
 		rec("h1", "anneal", 9, at(3)),
 		rec("h2", "repair", 1, at(4)), // other instance: must not matter
 	)
-	d := s.Advise(Signature{Hash: "h1", Tasks: 8, MeshW: 2, MeshH: 2})
+	d := Advise(h, Signature{Hash: "h1", Tasks: 8, MeshW: 2, MeshH: 2})
 	if d.Solver != "anneal" || d.Basis != "instance" {
 		t.Fatalf("decision = %+v, want anneal via instance tier", d)
 	}
@@ -39,20 +31,20 @@ func TestAdviseInstanceTier(t *testing.T) {
 func TestAdviseFamilyTier(t *testing.T) {
 	// No history for the target hash; family = same mesh, task count
 	// within 2x. Two instances where anneal beats repair head-to-head.
-	s := memStore(t,
+	h := history(
 		rec("h1", "repair", 10, at(1)),
 		rec("h1", "anneal", 8, at(2)),
 		rec("h2", "repair", 12, at(3)),
 		rec("h2", "anneal", 11, at(4)),
 	)
-	d := s.Advise(Signature{Hash: "h-unseen", Tasks: 10, MeshW: 2, MeshH: 2})
+	d := Advise(h, Signature{Hash: "h-unseen", Tasks: 10, MeshW: 2, MeshH: 2})
 	if d.Solver != "anneal" || d.Basis != "family" {
 		t.Fatalf("decision = %+v, want anneal via family tier", d)
 	}
 
 	// A different mesh breaks the family: falls through to global (same
 	// records, so same winner, different basis).
-	d = s.Advise(Signature{Hash: "h-unseen", Tasks: 10, MeshW: 4, MeshH: 4})
+	d = Advise(h, Signature{Hash: "h-unseen", Tasks: 10, MeshW: 4, MeshH: 4})
 	if d.Solver != "anneal" || d.Basis != "global" {
 		t.Fatalf("decision = %+v, want anneal via global tier", d)
 	}
@@ -61,18 +53,17 @@ func TestAdviseFamilyTier(t *testing.T) {
 func TestAdviseDefaultTier(t *testing.T) {
 	// Single-solver history has no head-to-head wins: win-based tiers
 	// refuse to decide and the default solver comes back.
-	s := memStore(t, rec("h1", "anneal", 8, at(1)))
-	d := s.Advise(Signature{Hash: "h-unseen", Tasks: 8, MeshW: 2, MeshH: 2})
+	h := history(rec("h1", "anneal", 8, at(1)))
+	d := Advise(h, Signature{Hash: "h-unseen", Tasks: 8, MeshW: 2, MeshH: 2})
 	if d.Solver != DefaultSolver || d.Basis != "default" {
 		t.Fatalf("decision = %+v, want the default solver", d)
 	}
 
-	// Nil store: same degradation, so solver=auto works with the archive
-	// disabled.
-	var nilStore *Store
-	d = nilStore.Advise(Signature{Tasks: 8})
+	// Empty history (a disabled archive lists none): same degradation,
+	// so solver=auto works with the archive disabled.
+	d = Advise(nil, Signature{Tasks: 8})
 	if d.Solver != DefaultSolver || d.Basis != "default" {
-		t.Fatalf("nil-store decision = %+v", d)
+		t.Fatalf("empty-history decision = %+v", d)
 	}
 }
 
@@ -83,8 +74,8 @@ func TestAdvisePortfolioCarriesEngineOptions(t *testing.T) {
 	p1.EngineBudget = 16
 	p2 := rec("h1", "portfolio", 9, at(2)) // worse: its options must lose
 	p2.EngineOps = []string{"anneal"}
-	s := memStore(t, p1, rec("h1", "repair", 10, at(3)), p2)
-	d := s.Advise(Signature{Hash: "h1", Tasks: 8, MeshW: 2, MeshH: 2})
+	h := history(p1, rec("h1", "repair", 10, at(3)), p2)
+	d := Advise(h, Signature{Hash: "h1", Tasks: 8, MeshW: 2, MeshH: 2})
 	if d.Solver != "portfolio" {
 		t.Fatalf("decision = %+v", d)
 	}
@@ -99,8 +90,8 @@ func TestAdviseIgnoresInfeasibleAndFailed(t *testing.T) {
 	bad.Feasible = false
 	infeasible := rec("h1", "heuristic", 0.5, at(2))
 	infeasible.Feasible = false
-	s := memStore(t, bad, infeasible, rec("h1", "repair", 10, at(3)))
-	d := s.Advise(Signature{Hash: "h1", Tasks: 8, MeshW: 2, MeshH: 2})
+	h := history(bad, infeasible, rec("h1", "repair", 10, at(3)))
+	d := Advise(h, Signature{Hash: "h1", Tasks: 8, MeshW: 2, MeshH: 2})
 	if d.Solver != "repair" || d.Basis != "instance" {
 		t.Fatalf("decision = %+v: failed/infeasible records leaked into advice", d)
 	}
@@ -110,13 +101,52 @@ func TestAdviseDeterministicTieBreak(t *testing.T) {
 	// Identical objectives: the lexically smaller solver must win, every
 	// time, regardless of append order.
 	for range 5 {
-		s := memStore(t,
+		h := history(
 			rec("h1", "zeta", 10, at(1)),
 			rec("h1", "alpha", 10, at(2)),
 		)
-		d := s.Advise(Signature{Hash: "h1", Tasks: 8, MeshW: 2, MeshH: 2})
+		d := Advise(h, Signature{Hash: "h1", Tasks: 8, MeshW: 2, MeshH: 2})
 		if d.Solver != "alpha" {
 			t.Fatalf("tie broke to %q, want alpha", d.Solver)
 		}
+	}
+}
+
+// objectiveMix is one instance solved under both objectives: repair's
+// BE (max_k E_k) 3.0 is on a different scale from the ME (Σ_k E_k)
+// records, where anneal's 10.0 beats repair's 12.0.
+func objectiveMix() []*Record {
+	be := rec("h1", "repair", 3, at(1))
+	annealME := rec("h1", "anneal", 10, at(2))
+	annealME.Objective = "me"
+	repairME := rec("h1", "repair", 12, at(3))
+	repairME.Objective = "me"
+	return []*Record{be, annealME, repairME}
+}
+
+// TestAdviseKeysByObjective: advice compares records of the request's
+// objective only. Mixing the scales would give repair a mean of 7.5 and
+// the ME pick.
+func TestAdviseKeysByObjective(t *testing.T) {
+	h := history(objectiveMix()...)
+	d := Advise(h, Signature{Hash: "h1", Objective: "me", Tasks: 8, MeshW: 2, MeshH: 2})
+	if d.Solver != "anneal" || d.Basis != "instance" || d.Candidates != 2 {
+		t.Fatalf("me decision = %+v, want anneal from 2 instance records", d)
+	}
+	for _, obj := range []string{"be", ""} { // empty reads as be
+		d = Advise(h, Signature{Hash: "h1", Objective: obj, Tasks: 8, MeshW: 2, MeshH: 2})
+		if d.Solver != "repair" || d.Basis != "instance" || d.Candidates != 1 {
+			t.Fatalf("objective %q decision = %+v, want repair from 1 instance record", obj, d)
+		}
+	}
+	// Family tier: the ME records alone hold the one head-to-head.
+	d = Advise(h, Signature{Hash: "h-unseen", Objective: "me", Tasks: 8, MeshW: 2, MeshH: 2})
+	if d.Solver != "anneal" || d.Basis != "family" {
+		t.Fatalf("me family decision = %+v, want anneal", d)
+	}
+	// BE history has no head-to-head, so BE advice falls to the default.
+	d = Advise(h, Signature{Hash: "h-unseen", Objective: "be", Tasks: 8, MeshW: 2, MeshH: 2})
+	if d.Solver != DefaultSolver || d.Basis != "default" {
+		t.Fatalf("be family decision = %+v, want the default", d)
 	}
 }

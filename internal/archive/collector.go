@@ -15,8 +15,8 @@ import (
 // Memory is bounded regardless of traffic: at most maxRequests requests
 // are tracked at once (oldest evicted first — an evicted request archives
 // with an empty trajectory, never an error), and each trajectory holds at
-// most maxPoints points, decimated by stride-doubling when it would
-// overflow — long solves keep their shape, not every sample.
+// most maxPoints points, decimated like a metrics series (obs.Decimated)
+// — long solves keep their shape, not every sample.
 type Collector struct {
 	mu          sync.Mutex
 	maxRequests int
@@ -26,21 +26,19 @@ type Collector struct {
 }
 
 type foldState struct {
-	traj   []TrajPoint
-	stride int // append every stride-th candidate point
-	seen   int // candidate points offered so far
-	ops    map[string]*OpStat
+	traj obs.Decimated[TrajPoint]
+	ops  map[string]*OpStat
 }
 
 // NewCollector builds a Collector tracking at most maxRequests live
 // requests (≤0 means 1024) with at most maxPoints trajectory points each
-// (≤0 means 512).
+// (≤0 means obs.SeriesCap).
 func NewCollector(maxRequests, maxPoints int) *Collector {
 	if maxRequests <= 0 {
 		maxRequests = 1024
 	}
 	if maxPoints <= 0 {
-		maxPoints = 512
+		maxPoints = obs.SeriesCap
 	}
 	return &Collector{
 		maxRequests: maxRequests,
@@ -59,7 +57,7 @@ func (c *Collector) Write(e obs.Event) {
 	switch e.Kind {
 	case obs.BBIncumbent, obs.EngineIter:
 		c.mu.Lock()
-		c.state(e.Req).addPoint(TrajPoint{T: e.T, Obj: e.Obj}, c.maxPoints)
+		c.state(e.Req).traj.Add(TrajPoint{T: e.T, Obj: e.Obj}, c.maxPoints)
 		c.mu.Unlock()
 	case obs.EngineOpApply:
 		c.mu.Lock()
@@ -92,29 +90,10 @@ func (c *Collector) state(req string) *foldState {
 		delete(c.reqs, c.order[0])
 		c.order = c.order[1:]
 	}
-	st = &foldState{stride: 1}
+	st = &foldState{}
 	c.reqs[req] = st
 	c.order = append(c.order, req)
 	return st
-}
-
-// addPoint appends a trajectory point under the decimation contract:
-// when the trajectory would exceed maxPoints, every other retained point
-// is discarded and the sampling stride doubles.
-func (f *foldState) addPoint(p TrajPoint, maxPoints int) {
-	f.seen++
-	if (f.seen-1)%f.stride != 0 {
-		return
-	}
-	if len(f.traj) >= maxPoints {
-		kept := f.traj[:0]
-		for i := 0; i < len(f.traj); i += 2 {
-			kept = append(kept, f.traj[i])
-		}
-		f.traj = kept
-		f.stride *= 2
-	}
-	f.traj = append(f.traj, p)
 }
 
 // Take removes and returns the folded trajectory and operator stats for
@@ -145,7 +124,7 @@ func (c *Collector) Take(req string) ([]TrajPoint, map[string]OpStat) {
 			ops[name] = *op
 		}
 	}
-	return st.traj, ops
+	return st.traj.Points(), ops
 }
 
 // Close implements obs.Sink; nothing to flush.

@@ -10,13 +10,15 @@
 //     outcome, energy/makespan breakdown, per-stage latencies, the
 //     incumbent trajectory and per-operator engine stats. Summaries are
 //     the compact projection held in memory for every record on disk.
-//   - Store (store.go): segmented JSONL persistence with an in-memory
-//     index, crash-safe rotation, size/age retention with compaction,
-//     and a bounded async writer that can never block a solve.
+//   - Store (store.go): segmented JSONL persistence under one directory
+//     with an in-memory index, crash-safe rotation, size/age retention
+//     by whole segments, and a bounded async writer that can never block
+//     a solve.
 //   - Collector (collector.go): an obs.Sink folding the live event
 //     stream into per-request trajectories and operator stats.
-//   - Advisor (advisor.go): solver recommendation from instance-family
-//     history, the engine behind solver=auto.
+//   - Advisor (advisor.go): solver recommendation from archived
+//     summaries, a pure function of that history — the engine behind
+//     solver=auto.
 //   - Reports (report.go): markdown regression reports over two record
 //     cohorts (two solvers, or two time windows).
 package archive
@@ -128,6 +130,23 @@ type Record struct {
 	// its outcome, closing the advisor's feedback loop.
 	Advice *Decision `json:"advice,omitempty"`
 }
+
+// instanceKey is what every comparison between records is made within:
+// one instance (canonical hash) solved under one objective. BE final
+// objectives (max_k E_k) and ME ones (Σ_k E_k) are on different scales,
+// so records of one instance under the two objectives never compete.
+type instanceKey struct{ hash, objective string }
+
+// keyOf builds an instanceKey; an empty objective reads as "be", the
+// service's default.
+func keyOf(hash, objective string) instanceKey {
+	if objective == "" {
+		objective = "be"
+	}
+	return instanceKey{hash: hash, objective: objective}
+}
+
+func (s Summary) key() instanceKey { return keyOf(s.Hash, s.Objective) }
 
 // summary returns the index projection of r (seg unset; the Store stamps
 // it when the writer lands the record in a segment).

@@ -24,10 +24,11 @@ type ReportOptions struct {
 }
 
 // BuildReport renders a markdown regression report comparing two record
-// cohorts on their shared instances (by canonical hash). Only ok+feasible
-// records participate; each cohort's score on an instance is its best
-// (lowest) final objective there. Output is deterministic: instances sort
-// by hash, aggregates fold in sorted order.
+// cohorts on their shared instances, each instance paired under one
+// objective (see instanceKey). Only ok+feasible records participate;
+// each cohort's score on an instance is its best (lowest) final objective
+// there. Output is deterministic: rows sort by hash, then objective, and
+// aggregates fold in that order.
 func BuildReport(recs []Summary, o ReportOptions) (string, error) {
 	solverMode := o.SolverA != "" || o.SolverB != ""
 	if solverMode && (o.SolverA == "" || o.SolverB == "") {
@@ -55,13 +56,13 @@ func BuildReport(recs []Summary, o ReportOptions) (string, error) {
 		runtimes []float64
 		n        int
 	}
-	bestA, bestB := map[string]*cohortBest{}, map[string]*cohortBest{}
+	bestA, bestB := map[instanceKey]*cohortBest{}, map[instanceKey]*cohortBest{}
 	nA, nB := 0, 0
 	for _, r := range recs {
 		if r.Outcome != OutcomeOK || !r.Feasible {
 			continue
 		}
-		var m map[string]*cohortBest
+		var m map[instanceKey]*cohortBest
 		switch {
 		case inA(r):
 			m = bestA
@@ -72,10 +73,10 @@ func BuildReport(recs []Summary, o ReportOptions) (string, error) {
 		default:
 			continue // solver mode: neither cohort
 		}
-		cb := m[r.Hash]
+		cb := m[r.key()]
 		if cb == nil {
 			cb = &cohortBest{obj: r.FinalObjective}
-			m[r.Hash] = cb
+			m[r.key()] = cb
 		} else if r.FinalObjective < cb.obj {
 			cb.obj = r.FinalObjective
 		}
@@ -83,13 +84,18 @@ func BuildReport(recs []Summary, o ReportOptions) (string, error) {
 		cb.runtimes = append(cb.runtimes, r.RuntimeSeconds)
 	}
 
-	var shared []string
-	for h := range bestA {
-		if bestB[h] != nil {
-			shared = append(shared, h)
+	var shared []instanceKey
+	for k := range bestA {
+		if bestB[k] != nil {
+			shared = append(shared, k)
 		}
 	}
-	sort.Strings(shared)
+	sort.Slice(shared, func(i, j int) bool {
+		if shared[i].hash != shared[j].hash {
+			return shared[i].hash < shared[j].hash
+		}
+		return shared[i].objective < shared[j].objective
+	})
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Solve archive report\n\n")
@@ -102,13 +108,13 @@ func BuildReport(recs []Summary, o ReportOptions) (string, error) {
 	}
 
 	fmt.Fprintf(&b, "## Per-instance best objective\n\n")
-	fmt.Fprintf(&b, "| instance | E(A) | E(B) | delta | winner |\n")
-	fmt.Fprintf(&b, "|---|---|---|---|---|\n")
+	fmt.Fprintf(&b, "| instance | E(A) | E(B) | delta | winner | objective |\n")
+	fmt.Fprintf(&b, "|---|---|---|---|---|---|\n")
 	winsA, winsB, ties := 0, 0, 0
 	deltaSum := 0.0
 	var rtA, rtB []float64
-	for i, h := range shared {
-		a, bb := bestA[h], bestB[h]
+	for i, k := range shared {
+		a, bb := bestA[k], bestB[k]
 		rtA = append(rtA, a.runtimes...)
 		rtB = append(rtB, bb.runtimes...)
 		winner := "tie"
@@ -128,7 +134,7 @@ func BuildReport(recs []Summary, o ReportOptions) (string, error) {
 		}
 		deltaSum += delta
 		if i < o.MaxRows {
-			fmt.Fprintf(&b, "| %s | %.6g | %.6g | %+.2f%% | %s |\n", shortHash(h), a.obj, bb.obj, 100*delta, winner)
+			fmt.Fprintf(&b, "| %s | %.6g | %.6g | %+.2f%% | %s | %s |\n", shortHash(k.hash), a.obj, bb.obj, 100*delta, winner, k.objective)
 		}
 	}
 	if len(shared) > o.MaxRows {

@@ -102,3 +102,22 @@ func TestBuildReportErrors(t *testing.T) {
 		t.Fatalf("empty report body:\n%s", md)
 	}
 }
+
+// TestBuildReportKeysByObjective: cohorts pair per instance and
+// objective. Repair's BE 3.0 has no anneal partner; on ME anneal's 10
+// beats repair's 12.
+func TestBuildReportKeysByObjective(t *testing.T) {
+	md, err := BuildReport(history(objectiveMix()...), ReportOptions{SolverA: "repair", SolverB: "anneal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"shared instances: 1",
+		"| h1 | 12 | 10 | -16.67% | B | me |",
+		"wins: A 0, B 1, ties 0",
+	} {
+		if !strings.Contains(md, want) {
+			t.Errorf("report missing %q:\n%s", want, md)
+		}
+	}
+}

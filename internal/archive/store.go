@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,13 +21,10 @@ import (
 	"nocdeploy/internal/obs"
 )
 
-// Options configures a Store. The zero value is a bounded in-memory
-// archive (no Dir): full records are retained up to MemoryRecords — the
-// mode tests and the ext-advisor experiment use. With Dir set, records
-// persist as segmented JSONL under Dir and only compact Summaries stay
-// resident.
+// Options configures a Store. Records persist as segmented JSONL under
+// Dir; only their compact Summaries stay resident.
 type Options struct {
-	// Dir is the segment directory; empty means memory-only.
+	// Dir is the segment directory, created if missing; required.
 	Dir string
 
 	// MaxSegmentBytes seals the active segment once it grows past this
@@ -34,9 +34,9 @@ type Options struct {
 	// MaxBytes bounds total on-disk size: once exceeded, whole oldest
 	// sealed segments are deleted. 0 means 256 MiB; negative disables.
 	MaxBytes int64
-	// MaxAge expires records: segments whose newest record is older are
-	// deleted, and the oldest surviving segment is compacted (rewritten
-	// via temp+rename) to shed expired records. 0 disables.
+	// MaxAge expires records: List and Get hide records older than
+	// now − MaxAge, and a sealed segment is deleted once its newest
+	// record is that old. 0 disables.
 	MaxAge time.Duration
 
 	// QueueDepth bounds the async writer's queue; 0 means 256. Append
@@ -45,13 +45,11 @@ type Options struct {
 	// contract (obs.Log), a slow disk can never delay a solve.
 	QueueDepth int
 
-	// MemoryRecords caps retained full records in memory-only mode;
-	// 0 means 4096.
-	MemoryRecords int
-
-	// Clock stamps Record.Time for records appended without one; nil
-	// means the wall clock. Tests inject a fake clock, under which the
-	// archived bytes are a pure function of the appended content.
+	// Clock stamps Record.Time for records appended without one and
+	// dates the MaxAge cutoff; nil means the wall clock. Queries and the
+	// writer read it concurrently when MaxAge is set. Tests inject a fake
+	// clock, under which the archived bytes are a pure function of the
+	// appended content.
 	Clock obs.Clock
 }
 
@@ -65,9 +63,6 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256
 	}
-	if o.MemoryRecords <= 0 {
-		o.MemoryRecords = 4096
-	}
 	return o
 }
 
@@ -75,14 +70,13 @@ func (o Options) withDefaults() Options {
 type segInfo struct {
 	ord    int64 // segment ordinal; the file is seg-<ord>.jsonl
 	bytes  int64
-	oldest time.Time // oldest record time in the segment
-	newest time.Time
+	newest time.Time // newest record time in the segment
 }
 
 // Store is the solve archive. Open creates one; Append is safe from any
 // goroutine and never blocks (see Options.QueueDepth); queries (List,
-// Get, Stats, Advise) are safe concurrent with appends; Close drains the
-// writer queue so every accepted record is durable on return.
+// Get, Stats) are safe concurrent with appends; Close drains the writer
+// queue so every accepted record is durable on return.
 type Store struct {
 	opts Options
 	dir  string
@@ -92,17 +86,15 @@ type Store struct {
 	seq     int64
 	index   []Summary          // append-ordered (chronological)
 	byID    map[string]int     // record ID → index position
-	pending map[string]*Record // accepted, not yet durable (disk mode)
-	memory  map[string]*Record // full records (memory mode)
+	pending map[string]*Record // accepted, not yet durable
 
-	ch   chan *Record  // nil in memory mode
+	ch   chan *Record
 	done chan struct{} // closed when the writer exits
 	gate chan struct{} // test hook: writer blocks per record when non-nil
 
 	// Writer-owned segment state (single goroutine; no locking).
 	active      *os.File
 	activeN     int64
-	activeOld   time.Time
 	activeNew   time.Time
 	sealed      []segInfo // oldest first
 	sealedBytes int64
@@ -122,20 +114,19 @@ type Store struct {
 	werr      atomic.Pointer[string] // first writer error, sticky
 }
 
-// Open builds a Store. With Options.Dir set it recovers the in-memory
-// index by scanning the existing segments oldest-first (a torn trailing
-// line — a crashed writer — is truncated away, and everything before it
+// Open builds a Store over Options.Dir: it recovers the in-memory index
+// by scanning the existing segments oldest-first (a torn trailing line —
+// a crashed writer — is truncated away, and everything before it
 // survives) and starts the async writer.
 func Open(o Options) (*Store, error) {
+	if o.Dir == "" {
+		return nil, errors.New("archive: Options.Dir is required")
+	}
 	s := &Store{
 		opts:    o.withDefaults(),
 		dir:     o.Dir,
 		byID:    map[string]int{},
 		pending: map[string]*Record{},
-	}
-	if s.dir == "" {
-		s.memory = map[string]*Record{}
-		return s, nil
 	}
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
@@ -164,10 +155,9 @@ func segFile(ord int64) string { return fmt.Sprintf("seg-%06d.jsonl", ord) }
 const activeFile = "active.jsonl"
 
 // recover scans Dir and rebuilds the index. Sealed segments are indexed
-// as-is (a torn tail loses only the torn line); the active segment is
-// additionally truncated to its intact prefix so subsequent appends can
-// never merge into a torn line. Leftover compaction temp files (a crash
-// between write and rename) are removed — the original segment is intact.
+// up to their first bad line (a torn tail loses only the torn line); the
+// active segment is additionally truncated to its intact prefix so
+// subsequent appends can never merge into a torn line.
 func (s *Store) recover() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -176,18 +166,14 @@ func (s *Store) recover() error {
 	var ords []int64
 	for _, ent := range entries {
 		name := ent.Name()
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
-				return fmt.Errorf("archive: %w", err)
-			}
-		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".jsonl"):
-			n, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".jsonl"), 10, 64)
-			if err != nil || n < 0 {
-				return fmt.Errorf("archive: unexpected segment name %q", name)
-			}
-			ords = append(ords, n)
+		if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".jsonl") {
+			continue
 		}
+		n, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".jsonl"), 10, 64)
+		if err != nil || n < 0 {
+			return fmt.Errorf("archive: unexpected segment name %q", name)
+		}
+		ords = append(ords, n)
 	}
 	sort.Slice(ords, func(i, j int) bool { return ords[i] < ords[j] })
 	maxOrd := int64(0)
@@ -208,7 +194,7 @@ func (s *Store) recover() error {
 			return err
 		}
 		s.activeN = info.bytes
-		s.activeOld, s.activeNew = info.oldest, info.newest
+		s.activeNew = info.newest
 	}
 	s.diskBytes.Store(s.sealedBytes + s.activeN)
 	s.segments.Store(int64(len(s.sealed)) + boolInt(s.activeN > 0))
@@ -222,13 +208,19 @@ func boolInt(b bool) int64 {
 	return 0
 }
 
-// indexSegment scans one segment file into the index, returning its
-// accounting. With truncate set (the active segment), the file is cut
-// back to the intact prefix.
+// indexSegment scans one segment file into the index, up to its first
+// torn or damaged line, returning its accounting. With truncate set (the
+// active segment), the file is cut back to that intact prefix; a sealed
+// segment keeps its bytes, and all of them count against MaxBytes.
 func (s *Store) indexSegment(path string, ord int64, truncate bool) (segInfo, error) {
 	info := segInfo{ord: ord}
 	f, err := os.Open(path)
 	if err != nil {
+		return info, fmt.Errorf("archive: %w", err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		_ = f.Close()
 		return info, fmt.Errorf("archive: %w", err)
 	}
 	good := int64(0) // offset just past the last intact line
@@ -238,9 +230,9 @@ func (s *Store) indexSegment(path string, ord int64, truncate bool) (segInfo, er
 		if err != nil {
 			break // EOF, or an unterminated (torn) trailing line
 		}
-		var rec Record
-		if uerr := json.Unmarshal(bytes.TrimSpace(line), &rec); uerr != nil || rec.ID == "" {
-			break // torn or corrupt: keep the intact prefix only
+		rec, ok := decodeLine(line)
+		if !ok {
+			break // torn or damaged: keep the intact prefix only
 		}
 		good += int64(len(line))
 		sum := rec.summary()
@@ -250,9 +242,6 @@ func (s *Store) indexSegment(path string, ord int64, truncate bool) (segInfo, er
 		if n := idSeq(sum.ID); n > s.seq {
 			s.seq = n
 		}
-		if info.oldest.IsZero() || rec.Time.Before(info.oldest) {
-			info.oldest = rec.Time
-		}
 		if rec.Time.After(info.newest) {
 			info.newest = rec.Time
 		}
@@ -261,13 +250,57 @@ func (s *Store) indexSegment(path string, ord int64, truncate bool) (segInfo, er
 	if cerr != nil {
 		return info, fmt.Errorf("archive: %w", cerr)
 	}
+	info.bytes = fi.Size()
 	if truncate {
 		if err := os.Truncate(path, good); err != nil {
 			return info, fmt.Errorf("archive: %w", err)
 		}
+		info.bytes = good
 	}
-	info.bytes = good
 	return info, nil
+}
+
+// crcKey introduces a segment line's checksum. A line is a record's JSON
+// with a CRC-32C of that JSON spliced in as its last key, {…,"crc":N},
+// so a torn or overwritten line never passes for a record: recovery and
+// Get accept a line only when its checksum matches.
+const crcKey = `,"crc":`
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// encodeLine renders rec as one newline-terminated segment line.
+func encodeLine(rec *Record) ([]byte, error) {
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	sum := crc32.Checksum(b, crcTable)
+	b = append(b[:len(b)-1], crcKey...)
+	b = strconv.AppendUint(b, uint64(sum), 10)
+	return append(b, '}', '\n'), nil
+}
+
+// decodeLine parses one segment line; false unless its checksum matches
+// and it holds a record with an ID.
+func decodeLine(line []byte) (*Record, bool) {
+	line = bytes.TrimSuffix(line, []byte{'\n'})
+	i := bytes.LastIndex(line, []byte(crcKey))
+	if i < 0 || line[len(line)-1] != '}' {
+		return nil, false
+	}
+	sum, err := strconv.ParseUint(string(line[i+len(crcKey):len(line)-1]), 10, 32)
+	if err != nil {
+		return nil, false
+	}
+	body := append(line[:i:i], '}')
+	if crc32.Checksum(body, crcTable) != uint32(sum) {
+		return nil, false
+	}
+	var rec Record
+	if json.Unmarshal(body, &rec) != nil || rec.ID == "" {
+		return nil, false
+	}
+	return &rec, true
 }
 
 // idSeq parses the numeric part of a record ID ("a17" → 17); 0 for
@@ -308,26 +341,6 @@ func (s *Store) Append(rec *Record) {
 	}
 	rec.Advised = rec.Advice != nil
 	sum := rec.summary()
-	if s.ch == nil { // memory mode
-		s.index = append(s.index, sum)
-		s.byID[rec.ID] = len(s.index) - 1
-		s.memory[rec.ID] = rec
-		if len(s.memory) > s.opts.MemoryRecords {
-			// Evict the oldest full record and its index entry; the index
-			// is append-ordered, so the oldest still-resident entry leads.
-			for _, old := range s.index {
-				if _, ok := s.memory[old.ID]; ok {
-					delete(s.memory, old.ID)
-					s.removeLocked(old.ID)
-					break
-				}
-			}
-		}
-		s.appends.Add(1)
-		s.mu.Unlock()
-		s.emit(rec, 0, 0)
-		return
-	}
 	s.index = append(s.index, sum)
 	s.byID[rec.ID] = len(s.index) - 1
 	s.pending[rec.ID] = rec
@@ -406,9 +419,8 @@ func (s *Store) setErr(err error) {
 // entry with the segment ordinal, then applies rotation and retention.
 func (s *Store) persist(rec *Record) {
 	t0 := s.opts.Clock.Now()
-	line, err := json.Marshal(rec)
+	line, err := encodeLine(rec)
 	if err == nil {
-		line = append(line, '\n')
 		if s.active == nil {
 			s.active, err = os.OpenFile(filepath.Join(s.dir, activeFile),
 				os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -432,9 +444,6 @@ func (s *Store) persist(rec *Record) {
 	}
 	s.mu.Unlock()
 	s.activeN += int64(len(line))
-	if s.activeOld.IsZero() {
-		s.activeOld = rec.Time
-	}
 	if rec.Time.After(s.activeNew) {
 		s.activeNew = rec.Time
 	}
@@ -467,58 +476,67 @@ func (s *Store) rotate() {
 		s.setErr(err)
 		return
 	}
-	s.sealed = append(s.sealed, segInfo{ord: ord, bytes: s.activeN, oldest: s.activeOld, newest: s.activeNew})
+	s.sealed = append(s.sealed, segInfo{ord: ord, bytes: s.activeN, newest: s.activeNew})
 	s.sealedBytes += s.activeN
 	s.activeN = 0
-	s.activeOld, s.activeNew = time.Time{}, time.Time{}
+	s.activeNew = time.Time{}
 	// Publish the new active ordinal only after the rename: Get resolves
 	// curSeg to active.jsonl, and until the rename lands that file still
 	// holds the old ordinal's records.
 	s.curSeg.Add(1)
 }
 
-// retain enforces the size and age bounds: whole expired or over-budget
-// segments are deleted oldest-first, then the oldest survivor is
-// compacted (temp+rename rewrite) if it still straddles the age cutoff.
-// Only sealed segments are ever touched.
+// retain enforces the size and age bounds on whole sealed segments,
+// oldest first: a segment goes once the total is over MaxBytes, or once
+// its newest record is older than the age cutoff. The active segment is
+// never touched, and a sealed segment that straddles the cutoff stays
+// until its newest record expires; until then List and Get hide its
+// expired records.
 func (s *Store) retain() {
-	if s.opts.MaxBytes > 0 {
-		for len(s.sealed) > 0 && s.sealedBytes+s.activeN > s.opts.MaxBytes {
-			s.dropSegment()
+	cutoff := s.cutoff()
+	for len(s.sealed) > 0 {
+		over := s.opts.MaxBytes > 0 && s.sealedBytes+s.activeN > s.opts.MaxBytes
+		if !over && !s.sealed[0].newest.Before(cutoff) {
+			return
+		}
+		if !s.dropSegment() {
+			return
 		}
 	}
-	if s.opts.MaxAge > 0 {
-		cutoff := s.opts.Clock.Now().Add(-s.opts.MaxAge)
-		for len(s.sealed) > 0 && s.sealed[0].newest.Before(cutoff) {
-			s.dropSegment()
-		}
-		if len(s.sealed) > 0 && s.sealed[0].oldest.Before(cutoff) {
-			s.compactSegment(cutoff)
-		}
+}
+
+// cutoff is the age horizon: records older than it are expired. It is
+// the zero time, which no record precedes, when MaxAge is unset, so the
+// clock is read only under age retention.
+func (s *Store) cutoff() time.Time {
+	if s.opts.MaxAge <= 0 {
+		return time.Time{}
 	}
+	return s.opts.Clock.Now().Add(-s.opts.MaxAge)
 }
 
 // dropSegment deletes the oldest sealed segment and prunes its records
-// from the index.
-func (s *Store) dropSegment() {
+// from the index; false when the file could not be removed, which stops
+// the retention sweep instead of retrying it forever.
+func (s *Store) dropSegment() bool {
 	seg := s.sealed[0]
-	if err := os.Remove(filepath.Join(s.dir, segFile(seg.ord))); err != nil {
+	if err := os.Remove(filepath.Join(s.dir, segFile(seg.ord))); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		s.setErr(err)
-		return
+		return false
 	}
 	s.sealed = s.sealed[1:]
 	s.sealedBytes -= seg.bytes
-	s.pruneSeg(seg.ord, nil)
+	s.pruneSeg(seg.ord)
+	return true
 }
 
-// pruneSeg removes index entries living in segment ord. With keep
-// non-nil, entries whose ID is in keep survive (compaction).
-func (s *Store) pruneSeg(ord int64, keep map[string]bool) {
+// pruneSeg removes the index entries living in segment ord.
+func (s *Store) pruneSeg(ord int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	kept := s.index[:0]
 	for _, sum := range s.index {
-		if sum.seg == ord && !keep[sum.ID] {
+		if sum.seg == ord {
 			delete(s.byID, sum.ID)
 			continue
 		}
@@ -530,100 +548,24 @@ func (s *Store) pruneSeg(ord int64, keep map[string]bool) {
 	}
 }
 
-// compactSegment rewrites the oldest sealed segment keeping only records
-// at or after cutoff, via a temp file renamed over the original — the
-// crash-safe half of the retention contract: a crash leaves either the
-// old segment or the fully-written replacement.
-func (s *Store) compactSegment(cutoff time.Time) {
-	seg := &s.sealed[0]
-	path := filepath.Join(s.dir, segFile(seg.ord))
-	in, err := os.Open(path)
-	if err != nil {
-		s.setErr(err)
-		return
-	}
-	tmpPath := path + ".tmp"
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		s.setErr(err)
-		_ = in.Close()
-		return
-	}
-	keep := map[string]bool{}
-	out := segInfo{ord: seg.ord}
-	br := bufio.NewReader(in)
-	for {
-		line, rerr := br.ReadBytes('\n')
-		if rerr != nil {
-			break
-		}
-		var rec Record
-		if uerr := json.Unmarshal(bytes.TrimSpace(line), &rec); uerr != nil || rec.ID == "" {
-			break
-		}
-		if rec.Time.Before(cutoff) {
-			continue
-		}
-		if _, werr := tmp.Write(line); werr != nil {
-			err = werr
-			break
-		}
-		keep[rec.ID] = true
-		out.bytes += int64(len(line))
-		if out.oldest.IsZero() || rec.Time.Before(out.oldest) {
-			out.oldest = rec.Time
-		}
-		if rec.Time.After(out.newest) {
-			out.newest = rec.Time
-		}
-	}
-	_ = in.Close()
-	if serr := tmp.Sync(); err == nil {
-		err = serr
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		s.setErr(err)
-		_ = os.Remove(tmpPath)
-		return
-	}
-	if err := os.Rename(tmpPath, path); err != nil {
-		s.setErr(err)
-		_ = os.Remove(tmpPath)
-		return
-	}
-	s.sealedBytes += out.bytes - seg.bytes
-	*seg = out
-	s.pruneSeg(out.ord, keep)
-	if out.bytes == 0 {
-		// Everything expired: the (now empty) segment file can go too.
-		s.dropSegment()
-	}
-}
-
-// Get returns the full record for id: from the pending queue or the
-// memory tier if still resident, otherwise read back from its segment.
+// Get returns the full record for id: from the pending queue while the
+// writer has not landed it, otherwise read back from its segment. An
+// expired record (see Options.MaxAge) is not found.
 func (s *Store) Get(id string) (*Record, bool) {
 	if s == nil {
 		return nil, false
 	}
+	cutoff := s.cutoff()
 	s.mu.Lock()
+	i, ok := s.byID[id]
+	if !ok || s.index[i].Time.Before(cutoff) {
+		s.mu.Unlock()
+		return nil, false
+	}
 	if rec, ok := s.pending[id]; ok {
 		cp := *rec
 		s.mu.Unlock()
 		return &cp, true
-	}
-	if rec, ok := s.memory[id]; ok {
-		cp := *rec
-		s.mu.Unlock()
-		return &cp, true
-	}
-	i, ok := s.byID[id]
-	if !ok {
-		s.mu.Unlock()
-		return nil, false
 	}
 	ord := s.index[i].seg
 	s.mu.Unlock()
@@ -661,9 +603,8 @@ func scanForID(r io.Reader, id string) (*Record, bool) {
 		if !bytes.Contains(line, needle) {
 			continue
 		}
-		var rec Record
-		if json.Unmarshal(bytes.TrimSpace(line), &rec) == nil && rec.ID == id {
-			return &rec, true
+		if rec, ok := decodeLine(line); ok && rec.ID == id {
+			return rec, true
 		}
 	}
 }
@@ -698,10 +639,14 @@ func (f Filter) match(s Summary) bool {
 	return true
 }
 
-// List returns matching record summaries, newest first.
+// List returns matching record summaries, newest first. Expired records
+// (see Options.MaxAge) never match.
 func (s *Store) List(f Filter) []Summary {
 	if s == nil {
 		return nil
+	}
+	if cutoff := s.cutoff(); f.Since.Before(cutoff) {
+		f.Since = cutoff
 	}
 	s.mu.Lock()
 	snap := make([]Summary, len(s.index))
@@ -726,9 +671,10 @@ type SolverStats struct {
 	OK        int `json:"ok"`
 	Cancelled int `json:"cancelled,omitempty"`
 	Errors    int `json:"errors,omitempty"`
-	// Wins counts instances (by canonical hash) where this solver's best
-	// feasible objective beat every other solver that also solved the
-	// instance — only instances with ≥2 distinct solvers participate.
+	// Wins counts instances, each under one objective (see instanceKey),
+	// where this solver's best feasible objective beat every other solver
+	// that also solved it — only those with ≥2 distinct solvers
+	// participate.
 	Wins               int     `json:"wins"`
 	MeanFinalObjective float64 `json:"meanFinalObjective,omitempty"`
 	P50RuntimeSeconds  float64 `json:"p50RuntimeSeconds,omitempty"`
@@ -807,41 +753,39 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
-// winCounts groups ok+feasible records by instance hash and, on each
-// instance solved by ≥2 distinct solvers, credits the solver with the
-// lowest best objective (ties to the lexically smaller solver name, for
+// winCounts groups ok+feasible records by instanceKey and, on each key
+// solved by ≥2 distinct solvers, credits the solver with the lowest best
+// objective (ties to the lexically smaller solver name, for
 // determinism).
 func winCounts(recs []Summary) map[string]int {
-	type best struct{ obj float64 }
-	byHash := map[string]map[string]best{}
+	byKey := map[instanceKey]map[string]float64{}
 	for _, r := range recs {
 		if r.Outcome != OutcomeOK || !r.Feasible {
 			continue
 		}
-		m := byHash[r.Hash]
+		m := byKey[r.key()]
 		if m == nil {
-			m = map[string]best{}
-			byHash[r.Hash] = m
+			m = map[string]float64{}
+			byKey[r.key()] = m
 		}
-		if b, ok := m[r.Solver]; !ok || r.FinalObjective < b.obj {
-			m[r.Solver] = best{obj: r.FinalObjective}
+		if b, ok := m[r.Solver]; !ok || r.FinalObjective < b {
+			m[r.Solver] = r.FinalObjective
 		}
 	}
 	wins := map[string]int{}
-	for _, m := range byHash {
+	for _, m := range byKey {
 		if len(m) < 2 {
 			continue
 		}
-		winner := ""
-		winObj := 0.0
 		solvers := make([]string, 0, len(m))
 		for sv := range m {
 			solvers = append(solvers, sv)
 		}
 		sort.Strings(solvers)
-		for _, sv := range solvers {
-			if winner == "" || m[sv].obj < winObj {
-				winner, winObj = sv, m[sv].obj
+		winner := solvers[0]
+		for _, sv := range solvers[1:] {
+			if m[sv] < m[winner] {
+				winner = sv
 			}
 		}
 		wins[winner]++
@@ -851,7 +795,7 @@ func winCounts(recs []Summary) map[string]int {
 
 // StoreStats is the operational accounting behind the archive gauges.
 type StoreStats struct {
-	Records   int    `json:"records"` // indexed records (memory-resident summaries)
+	Records   int    `json:"records"` // indexed records (memory-resident summaries, expired ones included until their segment goes)
 	Pending   int    `json:"pending"` // accepted, not yet durable
 	Appends   int64  `json:"appends"`
 	Dropped   int64  `json:"dropped"`
@@ -895,12 +839,10 @@ func (s *Store) Close() error {
 	first := !s.closed
 	s.closed = true
 	s.mu.Unlock()
-	if s.ch != nil {
-		if first {
-			close(s.ch)
-		}
-		<-s.done
+	if first {
+		close(s.ch)
 	}
+	<-s.done
 	if msg := s.werr.Load(); msg != nil {
 		return fmt.Errorf("archive: %s", *msg)
 	}

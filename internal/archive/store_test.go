@@ -3,7 +3,9 @@ package archive
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -119,6 +121,36 @@ func TestAppendListGetStats(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// Append after Close is a silent no-op, not a panic.
+	s.Append(rec("hashA", "repair", 1, at(99)))
+	if got := s.StoreStats().Records; got != 4 {
+		t.Fatalf("append after Close indexed a record: %d records", got)
+	}
+}
+
+func TestOpenRequiresDir(t *testing.T) {
+	if _, err := Open(Options{}); err == nil {
+		t.Fatal("Open without a Dir succeeded")
+	}
+}
+
+// TestStatsWinsKeyedByObjective: a win needs two solvers on one
+// instance under one objective. Repair's BE 3.0 never competes with the
+// ME records, where anneal's 10.0 beats repair's 12.0.
+func TestStatsWinsKeyedByObjective(t *testing.T) {
+	s := openTest(t, t.TempDir(), Options{})
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, r := range objectiveMix() {
+		s.Append(r)
+	}
+	st := s.Stats(Filter{})
+	if st.Solvers["anneal"].Wins != 1 || st.Solvers["repair"].Wins != 0 {
+		t.Fatalf("wins: anneal=%d repair=%d, want 1 and 0", st.Solvers["anneal"].Wins, st.Solvers["repair"].Wins)
 	}
 }
 
@@ -370,27 +402,114 @@ func TestDeterministicSegments(t *testing.T) {
 	}
 }
 
-func TestMemoryMode(t *testing.T) {
-	s, err := Open(Options{MemoryRecords: 8, Clock: testClock()})
+// waitFor polls cond until it holds, failing the test after a deadline:
+// the writer lands, rotates and retains asynchronously.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestMaxAgeStraddlingSegment: a sealed segment holding records on both
+// sides of the age cutoff never lists or returns its expired records,
+// and the segment itself is deleted once its newest record expires.
+func TestMaxAgeStraddlingSegment(t *testing.T) {
+	dir := t.TempDir()
+	var now atomic.Int64 // unix seconds; the writer reads it concurrently
+	now.Store(at(141).Unix())
+	clock := obs.Clock(func() time.Time { return time.Unix(now.Load(), 0) })
+	s := openTest(t, dir, Options{MaxSegmentBytes: 800, MaxAge: 50 * time.Second, Clock: clock})
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	seg := filepath.Join(dir, segFile(1))
+	sealed := func() bool {
+		_, err := os.Stat(seg)
+		return err == nil
+	}
+	// live reports whether exactly want, of a1..a4, are listed and fetched.
+	live := func(want ...string) bool {
+		listed := map[string]bool{}
+		for _, sum := range s.List(Filter{}) {
+			listed[sum.ID] = true
+		}
+		for _, id := range []string{"a1", "a2", "a3", "a4"} {
+			_, got := s.Get(id)
+			wanted := slices.Contains(want, id)
+			if got != wanted || listed[id] != wanted {
+				return false
+			}
+		}
+		return true
+	}
+	for i, ti := range []int{100, 101, 140, 141} {
+		s.Append(rec("hash", "repair", float64(i+1), at(ti)))
+	}
+	waitFor(t, "four records to seal the first segment", func() bool {
+		return sealed() && live("a1", "a2", "a3", "a4")
+	})
+
+	// Cutoff at(120): a1 and a2 expire; a3 and a4 share their segment.
+	now.Store(at(170).Unix())
+	s.Append(rec("hash", "repair", 5, at(170)))
+	waitFor(t, "a1 and a2 to expire", func() bool { return live("a3", "a4") })
+	if !sealed() {
+		t.Fatal("segment with live records deleted")
+	}
+
+	// Cutoff at(200): the segment's newest record expires, and the next
+	// append deletes the segment.
+	now.Store(at(250).Unix())
+	s.Append(rec("hash", "repair", 6, at(250)))
+	waitFor(t, "the expired segment to be deleted", func() bool { return !sealed() && live() })
+	if got := s.List(Filter{Limit: 1}); len(got) != 1 || got[0].ID != "a6" {
+		t.Fatalf("newest record: %+v, want a6", got)
+	}
+}
+
+// TestRetentionSkipsVanishedSegment: a sealed segment deleted behind the
+// store's back does not stall retention. The writer counts it as gone,
+// goes on deleting segments to fit MaxBytes, and Close returns.
+func TestRetentionSkipsVanishedSegment(t *testing.T) {
+	dir := t.TempDir()
+	const maxBytes = 4 << 10
+	s := openTest(t, dir, Options{MaxSegmentBytes: 1 << 10, MaxBytes: maxBytes, QueueDepth: 64})
+	for i := 1; i <= 10; i++ {
+		s.Append(rec("hash", "repair", float64(i), at(i)))
+	}
+	waitFor(t, "ten records to land", func() bool { return s.StoreStats().Written >= 10 })
+	if err := os.Remove(filepath.Join(dir, segFile(1))); err != nil {
+		t.Fatal(err)
+	}
+	for i := 11; i <= 60; i++ {
+		s.Append(rec("hash", "repair", float64(i), at(i)))
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung: retention is stuck on the vanished segment")
+	}
+	var total int64
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 20; i++ {
-		s.Append(rec("hash", "repair", float64(i), at(i)))
+	for _, e := range ents {
+		total += fileSize(t, filepath.Join(dir, e.Name()))
 	}
-	st := s.StoreStats()
-	if st.Records != 8 {
-		t.Fatalf("memory mode retained %d records, want 8", st.Records)
+	if total > maxBytes {
+		t.Fatalf("on-disk size %d exceeds the %d budget", total, maxBytes)
 	}
-	if _, ok := s.Get("a1"); ok {
-		t.Fatal("oldest memory record survived eviction")
-	}
-	if _, ok := s.Get("a20"); !ok {
-		t.Fatal("newest memory record missing")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Append after Close is a silent no-op, not a panic.
-	s.Append(rec("hash", "repair", 1, at(99)))
 }

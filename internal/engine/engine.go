@@ -164,8 +164,7 @@ func SolveCtx(ctx context.Context, s *core.System, copts core.Options, eo Option
 	type application struct {
 		op   int
 		seed int64
-		out  Delta
-		ok   bool
+		out  *core.Deployment // nil: the operator made no candidate
 		dur  float64
 	}
 
@@ -210,7 +209,7 @@ func SolveCtx(ctx context.Context, s *core.System, copts core.Options, eo Option
 				NodeBudget: budget,
 			}
 			t0 := clock.Now()
-			a.out, a.ok = ops[a.op].Apply(ctx, st)
+			a.out = ops[a.op].Apply(ctx, st)
 			a.dur = clock.Now().Sub(t0).Seconds()
 			return struct{}{}, nil
 		})
@@ -222,8 +221,8 @@ func SolveCtx(ctx context.Context, s *core.System, copts core.Options, eo Option
 			phase := "noop"
 			reward := 0.0
 			evObj := bestObj
-			if a.ok && a.out.Deployment != nil {
-				m, verr := core.Validate(s, a.out.Deployment)
+			if a.out != nil {
+				m, verr := core.Validate(s, a.out)
 				switch {
 				case m == nil:
 					// Structurally invalid candidate — operator bug;
@@ -238,7 +237,7 @@ func SolveCtx(ctx context.Context, s *core.System, copts core.Options, eo Option
 					if !bestFeas || numeric.LtTol(obj, bestObj, core.EnergyTol) {
 						phase = "improved"
 						reward = 1
-						best, bestObj, bestFeas = a.out.Deployment, obj, true
+						best, bestObj, bestFeas = a.out, obj, true
 						incumbents = append(incumbents, core.IncumbentPoint{
 							T:   clock.Now().Sub(start),
 							Obj: obj,

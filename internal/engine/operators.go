@@ -34,30 +34,21 @@ type State struct {
 	NodeBudget int
 }
 
-// Delta is one operator application's outcome: a candidate deployment and
-// the operator's own assessment of it. The engine re-validates every
-// candidate centrally before acceptance, so a buggy or optimistic operator
-// can never corrupt the incumbent.
-type Delta struct {
-	Deployment *core.Deployment
-	Objective  float64
-	Feasible   bool
-}
-
 // SolveOperator is one pluggable move of the portfolio engine, the
 // nextroute-style solve-operator contract: Apply transforms a state
-// snapshot into a candidate delta (ok=false when the move was inapplicable
-// or produced nothing), Name/Params are the operator's identity and
-// parameter metadata for telemetry and the adaptive-weight table.
+// snapshot into a candidate deployment, or nil when the move was
+// inapplicable or produced nothing; Name is the operator's identity in
+// telemetry and the adaptive-weight table. A candidate is nothing more:
+// the engine re-validates and scores every one centrally before
+// acceptance, so a buggy operator can never corrupt the incumbent.
 //
 // Apply must be a pure function of (State, ctx): identical snapshots and
-// seeds must yield identical deltas, because the engine's determinism
+// seeds must yield identical candidates, because the engine's determinism
 // contract — byte-identical runs at any worker count — reduces to operator
 // purity once selection and reduction are serialized.
 type SolveOperator interface {
 	Name() string
-	Params() string
-	Apply(ctx context.Context, st *State) (Delta, bool)
+	Apply(ctx context.Context, st *State) *core.Deployment
 }
 
 // heuristicOp re-runs the constructive three-phase heuristic with the
@@ -72,14 +63,7 @@ func (o heuristicOp) Name() string {
 	return "heuristic"
 }
 
-func (o heuristicOp) Params() string {
-	if o.repair {
-		return "restart=seeded rounds=auto"
-	}
-	return "restart=seeded"
-}
-
-func (o heuristicOp) Apply(ctx context.Context, st *State) (Delta, bool) {
+func (o heuristicOp) Apply(ctx context.Context, st *State) *core.Deployment {
 	var (
 		d    *core.Deployment
 		info *core.SolveInfo
@@ -91,24 +75,23 @@ func (o heuristicOp) Apply(ctx context.Context, st *State) (Delta, bool) {
 		d, info, err = core.HeuristicCtx(ctx, st.Sys, st.Opts, st.Seed)
 	}
 	if err != nil || d == nil || info.Cancelled {
-		return Delta{}, false
+		return nil
 	}
-	return Delta{Deployment: d, Objective: info.Objective, Feasible: info.Feasible}, true
+	return d
 }
 
 // annealOp runs a short simulated-annealing burst from the repaired
 // heuristic under the application seed.
 type annealOp struct{ iters int }
 
-func (o annealOp) Name() string   { return "anneal" }
-func (o annealOp) Params() string { return fmt.Sprintf("iters=%d", o.iters) }
+func (o annealOp) Name() string { return "anneal" }
 
-func (o annealOp) Apply(ctx context.Context, st *State) (Delta, bool) {
+func (o annealOp) Apply(ctx context.Context, st *State) *core.Deployment {
 	d, info, err := core.AnnealCtx(ctx, st.Sys, st.Opts, core.AnnealOptions{Iters: o.iters, Seed: st.Seed})
 	if err != nil || d == nil || info.Cancelled {
-		return Delta{}, false
+		return nil
 	}
-	return Delta{Deployment: d, Objective: info.Objective, Feasible: info.Feasible}, true
+	return d
 }
 
 // exactOp runs a node-budgeted branch & bound warm-started from the
@@ -116,12 +99,11 @@ func (o annealOp) Apply(ctx context.Context, st *State) (Delta, bool) {
 // so the application stays a pure function of its snapshot.
 type exactOp struct{ nodes int }
 
-func (o exactOp) Name() string   { return "exact" }
-func (o exactOp) Params() string { return fmt.Sprintf("nodes=%d warm=incumbent workers=1", o.nodes) }
+func (o exactOp) Name() string { return "exact" }
 
-func (o exactOp) Apply(ctx context.Context, st *State) (Delta, bool) {
+func (o exactOp) Apply(ctx context.Context, st *State) *core.Deployment {
 	if o.nodes <= 0 {
-		return Delta{}, false
+		return nil
 	}
 	oo := core.OptimalOptions{MaxNodes: o.nodes, RelGap: 0.01, Workers: 1}
 	if st.Feasible {
@@ -129,46 +111,44 @@ func (o exactOp) Apply(ctx context.Context, st *State) (Delta, bool) {
 		oo.WarmDeployment = st.Incumbent
 		oo.WarmStart = &cutoff
 	}
-	d, info, err := core.OptimalCtx(ctx, st.Sys, st.Opts, oo)
-	if err != nil || d == nil {
-		return Delta{}, false
+	d, _, err := core.OptimalCtx(ctx, st.Sys, st.Opts, oo)
+	if err != nil {
+		return nil
 	}
-	return Delta{Deployment: d, Objective: info.Objective, Feasible: info.Feasible}, true
+	return d
 }
 
 // improveOp wraps the first-improvement local search (processor moves and
 // path flips) with a small move budget.
 type improveOp struct{ moves int }
 
-func (o improveOp) Name() string   { return "improve" }
-func (o improveOp) Params() string { return fmt.Sprintf("moves=%d", o.moves) }
+func (o improveOp) Name() string { return "improve" }
 
-func (o improveOp) Apply(ctx context.Context, st *State) (Delta, bool) {
+func (o improveOp) Apply(ctx context.Context, st *State) *core.Deployment {
 	if ctx.Err() != nil {
-		return Delta{}, false
+		return nil
 	}
-	d, obj, accepted := core.Improve(st.Sys, st.Incumbent, st.Opts, o.moves)
+	d, _, accepted := core.Improve(st.Sys, st.Incumbent, st.Opts, o.moves)
 	if accepted == 0 {
-		return Delta{}, false
+		return nil
 	}
-	return Delta{Deployment: d, Objective: obj, Feasible: true}, true
+	return d
 }
 
 // pathsOp wraps the path-flip-only local search.
 type pathsOp struct{}
 
-func (pathsOp) Name() string   { return "paths" }
-func (pathsOp) Params() string { return "flips=greedy" }
+func (pathsOp) Name() string { return "paths" }
 
-func (pathsOp) Apply(ctx context.Context, st *State) (Delta, bool) {
+func (pathsOp) Apply(ctx context.Context, st *State) *core.Deployment {
 	if ctx.Err() != nil {
-		return Delta{}, false
+		return nil
 	}
 	d, obj := core.ImprovePaths(st.Sys, st.Incumbent, st.Opts)
 	if !numeric.LtTol(obj, st.Objective, core.EnergyTol) {
-		return Delta{}, false
+		return nil
 	}
-	return Delta{Deployment: d, Objective: obj, Feasible: true}, true
+	return d
 }
 
 // regionOp is the mesh-region large-neighborhood move: unassign every slot
@@ -178,11 +158,8 @@ func (pathsOp) Apply(ctx context.Context, st *State) (Delta, bool) {
 type regionOp struct{ radius int }
 
 func (o regionOp) Name() string { return "region" }
-func (o regionOp) Params() string {
-	return fmt.Sprintf("radius=%d repair=greedy+exact", o.radius)
-}
 
-func (o regionOp) Apply(ctx context.Context, st *State) (Delta, bool) {
+func (o regionOp) Apply(ctx context.Context, st *State) *core.Deployment {
 	rng := rand.New(rand.NewSource(st.Seed))
 	mesh := st.Sys.Mesh
 	n := mesh.N()
@@ -216,7 +193,7 @@ func (o regionOp) Apply(ctx context.Context, st *State) (Delta, bool) {
 		}
 	}
 	if len(destroyed) == 0 || len(destroyed) == total {
-		return Delta{}, false
+		return nil
 	}
 	return repairDestroyed(ctx, st, d, destroyed)
 }
@@ -226,10 +203,9 @@ func (o regionOp) Apply(ctx context.Context, st *State) (Delta, bool) {
 // greedily, then polish with a warm-started node-budgeted exact solve.
 type subtreeOp struct{}
 
-func (subtreeOp) Name() string   { return "subtree" }
-func (subtreeOp) Params() string { return "closure=descendants repair=greedy+exact" }
+func (subtreeOp) Name() string { return "subtree" }
 
-func (subtreeOp) Apply(ctx context.Context, st *State) (Delta, bool) {
+func (subtreeOp) Apply(ctx context.Context, st *State) *core.Deployment {
 	rng := rand.New(rand.NewSource(st.Seed))
 	g := st.Sys.Graph
 	M := g.M()
@@ -264,7 +240,7 @@ func (subtreeOp) Apply(ctx context.Context, st *State) (Delta, bool) {
 		}
 	}
 	if len(destroyed) == 0 || len(destroyed) == total {
-		return Delta{}, false
+		return nil
 	}
 	return repairDestroyed(ctx, st, d, destroyed)
 }
@@ -276,7 +252,7 @@ func (subtreeOp) Apply(ctx context.Context, st *State) (Delta, bool) {
 // carries a node budget. The greedy completion alone already yields a
 // structurally valid deployment, so a cancelled or fruitless polish still
 // returns the repaired candidate.
-func repairDestroyed(ctx context.Context, st *State, d *core.Deployment, destroyed []int) (Delta, bool) {
+func repairDestroyed(ctx context.Context, st *State, d *core.Deployment, destroyed []int) *core.Deployment {
 	// Schedule order of the incumbent: predecessors come no later than
 	// successors in any valid schedule, so placing in (Start, id) order
 	// prices communication against already-placed predecessors.
@@ -290,7 +266,7 @@ func repairDestroyed(ctx context.Context, st *State, d *core.Deployment, destroy
 	// Placements change Proc only, so one schedule order serves them all.
 	order, err := core.ScheduleOrder(st.Sys, d)
 	if err != nil {
-		return Delta{}, false // broken existing subgraph; no placement can fix it
+		return nil // broken existing subgraph; no placement can fix it
 	}
 	n := st.Sys.Mesh.N()
 	for _, slot := range destroyed {
@@ -313,28 +289,26 @@ func repairDestroyed(ctx context.Context, st *State, d *core.Deployment, destroy
 			}
 		}
 		if bestK < 0 {
-			return Delta{}, false
+			return nil
 		}
 		d.Proc[slot] = bestK
 		core.Reschedule(st.Sys, d, order)
 	}
 	m, err := core.ComputeMetrics(st.Sys, d)
 	if err != nil {
-		return Delta{}, false
+		return nil
 	}
-	obj := m.Objective(st.Opts.Objective)
-	feasible := core.CheckConstraints(st.Sys, d) == nil
 	if st.NodeBudget > 0 {
-		d, obj, feasible = exactPolish(ctx, st, d, obj, feasible)
+		return exactPolish(ctx, st, d, m.Objective(st.Opts.Objective), core.CheckConstraints(st.Sys, d) == nil)
 	}
-	return Delta{Deployment: d, Objective: obj, Feasible: feasible}, true
+	return d
 }
 
 // exactPolish re-places the repaired candidate optimally within a node
 // budget: a serial branch & bound warm-started from the candidate (when it
 // is feasible — pruning plus a cutoff). The candidate is returned unchanged
 // when the budgeted solve finds nothing better or is cancelled.
-func exactPolish(ctx context.Context, st *State, d *core.Deployment, obj float64, feasible bool) (*core.Deployment, float64, bool) {
+func exactPolish(ctx context.Context, st *State, d *core.Deployment, obj float64, feasible bool) *core.Deployment {
 	oo := core.OptimalOptions{MaxNodes: st.NodeBudget, RelGap: 0.01, Workers: 1}
 	if feasible {
 		cutoff := obj
@@ -343,12 +317,12 @@ func exactPolish(ctx context.Context, st *State, d *core.Deployment, obj float64
 	}
 	pd, pinfo, err := core.OptimalCtx(ctx, st.Sys, st.Opts, oo)
 	if err != nil || pd == nil || !pinfo.Feasible {
-		return d, obj, feasible
+		return d
 	}
 	if !feasible || numeric.LtTol(pinfo.Objective, obj, core.EnergyTol) {
-		return pd, pinfo.Objective, true
+		return pd
 	}
-	return d, obj, feasible
+	return d
 }
 
 // OperatorNames lists the built-in operators in canonical order — the

@@ -24,10 +24,9 @@ type stubOp struct {
 	panicked *atomic.Int64
 }
 
-func (o stubOp) Name() string   { return o.name }
-func (o stubOp) Params() string { return "stub" }
+func (o stubOp) Name() string { return o.name }
 
-func (o stubOp) Apply(_ context.Context, st *engine.State) (engine.Delta, bool) {
+func (o stubOp) Apply(_ context.Context, st *engine.State) *core.Deployment {
 	if o.panicOn != nil && o.panicOn(st.Seed) {
 		o.panicked.Add(1)
 		panic("stub operator panicked")
@@ -36,7 +35,7 @@ func (o stubOp) Apply(_ context.Context, st *engine.State) (engine.Delta, bool) 
 	if o.cancel != nil {
 		o.cancel()
 	}
-	return engine.Delta{Deployment: st.Incumbent, Objective: st.Objective, Feasible: st.Feasible}, true
+	return st.Incumbent
 }
 
 // recordSink keeps every event it is given.

@@ -3,12 +3,11 @@ package exp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
-	"time"
 
 	"nocdeploy/internal/archive"
 	"nocdeploy/internal/core"
-	"nocdeploy/internal/obs"
 	"nocdeploy/internal/solve"
 )
 
@@ -21,12 +20,11 @@ var advisorSolvers = []string{solve.Heuristic, solve.Repair, solve.Anneal}
 // (archive.Advise, the engine behind the service's solver=auto) against
 // fixed-solver baselines. Per sweep point, the trial instances are split
 // into a training prefix and held-out tail: every baseline solves every
-// instance, the training solves are recorded into a memory-only archive
-// under a fake clock (the exp package never reads the wall clock), and
-// the advisor — seeing only the held-out instance's shape signature,
-// never its hash — picks a solver per held-out instance via the family
-// tier. The table compares the advisor's achieved energy against the best
-// and worst fixed solver (chosen per point in hindsight over the held-out
+// instance, the training solves become the advisor's history, and the
+// advisor — seeing only the held-out instance's shape signature, never
+// its hash — picks a solver per held-out instance via the family tier.
+// The table compares the advisor's achieved energy against the best and
+// worst fixed solver (chosen per point in hindsight over the held-out
 // set), with the hit count of per-instance optimal picks.
 func RunAdvisor(cfg Config) (*Table, error) {
 	ms := []int{6, 8}
@@ -73,23 +71,15 @@ func RunAdvisor(cfg Config) (*Table, error) {
 	}
 
 	for point, m := range ms {
-		// Fake clock: appends happen serially below, so a simple counter
-		// gives every record a distinct deterministic timestamp.
-		tick := int64(0)
-		store, err := archive.Open(archive.Options{Clock: obs.Clock(func() time.Time {
-			tick++
-			return time.Unix(1_700_000_000+tick, 0)
-		})})
-		if err != nil {
-			return nil, err
-		}
+		// Training history, newest first as archive.Store.List returns it.
+		var history []archive.Summary
 		for rep := 0; rep < train; rep++ {
 			for _, name := range advisorSolvers {
 				obj, ok := cells[point][rep].obj[name]
 				if !ok {
 					continue
 				}
-				store.Append(&archive.Record{Summary: archive.Summary{
+				history = append(history, archive.Summary{
 					Hash:           fmt.Sprintf("exp-advisor-p%d-t%d", point, rep),
 					Tasks:          m,
 					MeshW:          2,
@@ -99,9 +89,10 @@ func RunAdvisor(cfg Config) (*Table, error) {
 					Outcome:        archive.OutcomeOK,
 					Feasible:       true,
 					FinalObjective: obj,
-				}})
+				})
 			}
 		}
+		slices.Reverse(history)
 
 		// Hindsight baselines over the held-out tail: the single fixed
 		// solver with the lowest (best) / highest (worst) mean energy.
@@ -117,7 +108,7 @@ func RunAdvisor(cfg Config) (*Table, error) {
 			for name, obj := range objs {
 				perSolver[name] = append(perSolver[name], obj)
 			}
-			dec := store.Advise(archive.Signature{Tasks: m, MeshW: 2, MeshH: 2})
+			dec := archive.Advise(history, archive.Signature{Objective: "be", Tasks: m, MeshW: 2, MeshH: 2})
 			advised = append(advised, objs[dec.Solver])
 			best := ""
 			for _, name := range advisorSolvers {
@@ -128,9 +119,6 @@ func RunAdvisor(cfg Config) (*Table, error) {
 			if dec.Solver == best {
 				hits++
 			}
-		}
-		if err := store.Close(); err != nil {
-			return nil, err
 		}
 
 		names := make([]string, 0, len(perSolver))

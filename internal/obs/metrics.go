@@ -27,13 +27,15 @@ type hist struct {
 
 // Metrics is a small counter/gauge/histogram/series registry. All methods
 // are safe for concurrent use and nil-safe (a nil *Metrics discards
-// updates), mirroring the nil-Trace convention.
+// updates), mirroring the nil-Trace convention. Each time series holds
+// at most SeriesCap points (see Decimated), so a registry that outlives
+// many solves stays bounded.
 type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]int64
 	gauges   map[string]float64
 	hists    map[string]*hist
-	series   map[string][]Point
+	series   map[string]*Decimated[Point]
 }
 
 // Point is one sample of a time series: T seconds since the trace epoch.
@@ -42,13 +44,52 @@ type Point struct {
 	V float64 `json:"v"`
 }
 
+// SeriesCap is the default bound on a decimated series: the points of a
+// Metrics time series and of an archived incumbent trajectory.
+const SeriesCap = 512
+
+// Decimated is a sample sequence bounded by stride-doubling decimation:
+// it keeps every stride-th sample offered, and when keeping one more
+// would pass its cap it drops every other kept sample and doubles the
+// stride. The first sample always survives, and a long series keeps its
+// shape, not every sample. The zero value is an empty series.
+type Decimated[T any] struct {
+	points []T
+	stride int // keep every stride-th offered sample; 0 reads as 1
+	seen   int // samples offered so far
+}
+
+// Add offers one sample; limit (> 0) caps the samples kept.
+func (d *Decimated[T]) Add(p T, limit int) {
+	if d.stride == 0 {
+		d.stride = 1
+	}
+	d.seen++
+	if (d.seen-1)%d.stride != 0 {
+		return
+	}
+	if len(d.points) >= limit {
+		kept := d.points[:0]
+		for i := 0; i < len(d.points); i += 2 {
+			kept = append(kept, d.points[i])
+		}
+		d.points = kept
+		d.stride *= 2
+	}
+	d.points = append(d.points, p)
+}
+
+// Points returns the kept samples, oldest first. The slice shares the
+// series' storage.
+func (d *Decimated[T]) Points() []T { return d.points }
+
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
 		counters: map[string]int64{},
 		gauges:   map[string]float64{},
 		hists:    map[string]*hist{},
-		series:   map[string][]Point{},
+		series:   map[string]*Decimated[Point]{},
 	}
 }
 
@@ -114,13 +155,19 @@ func (m *Metrics) Observe(name string, v float64) {
 	m.mu.Unlock()
 }
 
-// Append adds one point to time series name.
+// Append adds one point to time series name, decimating it past
+// SeriesCap points.
 func (m *Metrics) Append(name string, t, v float64) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	m.series[name] = append(m.series[name], Point{T: t, V: v})
+	d := m.series[name]
+	if d == nil {
+		d = &Decimated[Point]{}
+		m.series[name] = d
+	}
+	d.Add(Point{T: t, V: v}, SeriesCap)
 	m.mu.Unlock()
 }
 
@@ -304,8 +351,8 @@ func (m *Metrics) Snapshot() Snapshot {
 			Buckets: append([]int64(nil), h.buckets...),
 		}
 	}
-	for k, pts := range m.series {
-		s.Series[k] = append([]Point(nil), pts...)
+	for k, d := range m.series {
+		s.Series[k] = append([]Point(nil), d.Points()...)
 	}
 	return s
 }

@@ -130,6 +130,28 @@ func TestMetricsSnapshotStableJSON(t *testing.T) {
 	}
 }
 
+// TestMetricsSeriesBounded: a series that spans many solves stays within
+// SeriesCap points, decimated so that its first point survives.
+func TestMetricsSeriesBounded(t *testing.T) {
+	m := obs.NewMetrics()
+	const n = 100_000
+	for i := 0; i < n; i++ {
+		m.Append("engine.incumbent", float64(i), float64(n-i))
+	}
+	pts := m.Snapshot().Series["engine.incumbent"]
+	if len(pts) == 0 || len(pts) > obs.SeriesCap {
+		t.Fatalf("series holds %d points, want 1..%d", len(pts), obs.SeriesCap)
+	}
+	if pts[0] != (obs.Point{T: 0, V: n}) {
+		t.Fatalf("first point %+v not kept", pts[0])
+	}
+	for i := 1; i < len(pts); i++ {
+		if pts[i].T <= pts[i-1].T {
+			t.Fatalf("points out of order at %d: %+v after %+v", i, pts[i], pts[i-1])
+		}
+	}
+}
+
 // TestChromeSinkFormat validates the Chrome trace against the trace_event
 // JSON-array contract: the file parses as one array, every entry carries
 // ph/pid/name, and duration begins and ends pair up.

@@ -85,15 +85,20 @@ func (s *Service) recordSolve(req SolveRequest, hash string, res *SolveResult, e
 }
 
 // resolveAuto turns solver=auto into a concrete solver using the
-// archive's history, stamping the decision on the request (it is
-// archived with the solve) and emitting an archive.advise event.
-// Idempotent: a request that already names a solver passes through
-// untouched, so both the HTTP layer and direct Solve callers can call it.
+// archive's history under the request's objective, stamping the decision
+// on the request (it is archived with the solve) and emitting an
+// archive.advise event. Idempotent: a request that already names a
+// solver passes through untouched, so both the HTTP layer and direct
+// Solve callers can call it.
 func (s *Service) resolveAuto(req *SolveRequest) {
 	if req.Solver != SolverAuto {
 		return
 	}
-	dec := s.advise(req.Instance)
+	objective, err := normObjective(req.Objective)
+	if err != nil {
+		return // normalize rejects the request with this error
+	}
+	dec := s.advise(req.Instance, objective)
 	req.Solver = dec.Solver
 	req.EngineOps = dec.EngineOps
 	req.EngineRounds = dec.EngineRounds
@@ -109,22 +114,21 @@ func (s *Service) resolveAuto(req *SolveRequest) {
 	}
 }
 
-// advise computes the advisor decision for an instance. Works with the
-// archive disabled too: no history means the default solver, so
-// solver=auto degrades gracefully instead of erroring.
-func (s *Service) advise(inst spec.Instance) archive.Decision {
+// advise computes the advisor decision for an instance solved under a
+// normalized objective. Works with the archive disabled too: a nil store
+// lists no history, which means the default solver, so solver=auto
+// degrades gracefully instead of erroring.
+func (s *Service) advise(inst spec.Instance, objective string) archive.Decision {
 	sig := archive.Signature{
-		Tasks: len(inst.Graph.Tasks),
-		MeshW: inst.Mesh.W,
-		MeshH: inst.Mesh.H,
+		Objective: objective,
+		Tasks:     len(inst.Graph.Tasks),
+		MeshW:     inst.Mesh.W,
+		MeshH:     inst.Mesh.H,
 	}
 	if h, err := inst.CanonicalHash(); err == nil {
 		sig.Hash = h
 	}
-	if s.arch == nil {
-		return archive.Decision{Solver: archive.DefaultSolver, Basis: "default"}
-	}
-	return s.arch.Advise(sig)
+	return archive.Advise(s.arch.List(archive.Filter{Outcome: archive.OutcomeOK}), sig)
 }
 
 // setBuildInfo publishes the build_info gauge: constant 1, with the
@@ -237,16 +241,22 @@ func (s *Service) handleArchiveStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleArchiveAdvise serves POST /v1/archive/advise: the advisor
-// decision for an instance (body: spec.Instance JSON) without running a
-// solve — what solver=auto would pick right now. Works with the archive
-// disabled (default decision), unlike the query routes: advice always
-// has an answer.
+// decision for an instance (body: spec.Instance JSON) under the
+// objective query parameter (be, the default, or me, as for
+// /v1/solve) without running a solve — what solver=auto would pick right
+// now. Works with the archive disabled (default decision), unlike the
+// query routes: advice always has an answer.
 func (s *Service) handleArchiveAdvise(w http.ResponseWriter, r *http.Request) {
 	s.met.Add("http.requests", 1)
+	objective, err := normObjective(r.URL.Query().Get("objective"))
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	var inst spec.Instance
 	if err := json.NewDecoder(r.Body).Decode(&inst); err != nil {
 		s.writeError(w, http.StatusBadRequest, errors.Join(ErrBadRequest, err))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, s.advise(inst))
+	s.writeJSON(w, http.StatusOK, s.advise(inst, objective))
 }

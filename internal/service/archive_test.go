@@ -198,6 +198,48 @@ func TestSolverAutoEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAdviseReadsObjective: advice reads only history of the request's
+// objective, on solver=auto and on the advise route alike, and the route
+// takes the same objective parameter as /v1/solve.
+func TestAdviseReadsObjective(t *testing.T) {
+	_, srv := newArchivedService(t)
+	body := instanceBody(t, chainInstance(3, 5.0))
+	readBody(t, postSolve(t, srv.URL+"/v1/solve?solver=repair&objective=me", body))
+	readBody(t, postSolve(t, srv.URL+"/v1/solve?solver=heuristic&objective=me", body))
+
+	advise := func(query string) (int, archive.Decision) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/archive/advise"+query, "application/json",
+			strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := readBody(t, resp)
+		var dec archive.Decision
+		if resp.StatusCode == http.StatusOK {
+			if err := json.Unmarshal(got, &dec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, dec
+	}
+	if code, dec := advise("?objective=me"); code != http.StatusOK || dec.Basis != "instance" || dec.Candidates != 2 {
+		t.Fatalf("advise me: %d %+v, want the instance tier over 2 records", code, dec)
+	}
+	if code, dec := advise(""); code != http.StatusOK || dec.Basis != "default" {
+		t.Fatalf("advise (be): %d %+v, want the default: no be history", code, dec)
+	}
+	if code, _ := advise("?objective=max"); code != http.StatusBadRequest {
+		t.Fatalf("advise with an unknown objective: %d, want 400", code)
+	}
+
+	resp := postSolve(t, srv.URL+"/v1/solve?solver=auto&objective=me&seed=2", body)
+	readBody(t, resp)
+	if got := resp.Header.Get("X-Advise-Basis"); got != "instance" {
+		t.Fatalf("solver=auto objective=me: X-Advise-Basis = %q, want instance", got)
+	}
+}
+
 func TestSolverAutoWithArchiveDisabled(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()

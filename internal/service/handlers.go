@@ -26,7 +26,8 @@ import (
 //	                               solver, outcome, since, until, limit)
 //	GET  /v1/archive/stats         per-solver aggregates + store accounting
 //	GET  /v1/archive/{id}          one full archived solve record
-//	POST /v1/archive/advise        advisor decision for an instance (no solve)
+//	POST /v1/archive/advise        advisor decision for an instance (no solve;
+//	                               objective as for /v1/solve)
 //	GET  /healthz                  liveness
 //	GET  /metrics                 metrics: obs.Metrics JSON snapshot by
 //	                              default; Prometheus text exposition

@@ -166,18 +166,16 @@ type SolveRequest struct {
 // normalize fills defaults and validates, wrapping failures in
 // ErrBadRequest.
 func (r *SolveRequest) normalize() error {
+	objective, err := normObjective(r.Objective)
+	if err != nil {
+		return err
+	}
+	r.Objective = objective
 	if r.Solver == "" {
 		r.Solver = SolverHeuristic
 	}
 	if err := r.solveOptions(nil).Validate(r.Solver); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	switch r.Objective {
-	case "", "be":
-		r.Objective = "be"
-	case "me":
-	default:
-		return fmt.Errorf("%w: unknown objective %q (want be or me)", ErrBadRequest, r.Objective)
 	}
 	if r.Seed == 0 {
 		r.Seed = 1
@@ -191,6 +189,18 @@ func (r *SolveRequest) normalize() error {
 		return fmt.Errorf("%w: instance has no tasks", ErrBadRequest)
 	}
 	return nil
+}
+
+// normObjective maps an objective parameter onto "be" (the default) or
+// "me", wrapping anything else in ErrBadRequest.
+func normObjective(o string) (string, error) {
+	switch o {
+	case "", "be":
+		return "be", nil
+	case "me":
+		return "me", nil
+	}
+	return "", fmt.Errorf("%w: unknown objective %q (want be or me)", ErrBadRequest, o)
 }
 
 // solveOptions maps the request onto solve.Run's options. One pool worker
