@@ -71,12 +71,7 @@ func AnnealCtx(ctx context.Context, s *System, opts Options, ao AnnealOptions) (
 	relaxed.H = math.Inf(1)
 
 	evaluate := func(d *Deployment) annealEval {
-		order, err := ScheduleOrder(s, d)
-		if err != nil {
-			// Broken existing subgraph: score as structurally infeasible.
-			return annealEval{}
-		}
-		mk := Reschedule(s, d, order)
+		mk := Reschedule(s, d, ScheduleOrder(s, d))
 		if CheckConstraints(&relaxed, d) != nil {
 			return annealEval{}
 		}

@@ -14,7 +14,7 @@ import (
 
 // mediumSystem is a 4×4-mesh instance with a layered random DAG, sized like
 // the paper's heuristic runs.
-func mediumSystem(t *testing.T, m int, seed int64) *System {
+func mediumSystem(t testing.TB, m int, seed int64) *System {
 	t.Helper()
 	plat := platform.Default(16)
 	mesh := noc.Default(4, 4)
@@ -211,6 +211,45 @@ func TestValidatorCatchesViolations(t *testing.T) {
 	bad.Proc[0] = 99
 	if _, err := ComputeMetrics(s, bad); err == nil {
 		t.Error("bad processor index not caught")
+	}
+}
+
+// TestOverlapReportedOnLowestProcessor: with overlaps on every processor,
+// CheckConstraints reports the first overlap on the lowest-numbered one,
+// on every run.
+func TestOverlapReportedOnLowestProcessor(t *testing.T) {
+	plat, err := platform.New(4, tinyLevels(), platform.DefaultPowerParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := task.New()
+	for i := 0; i < 8; i++ {
+		g.AddTask("", 5e8, 2.0) // 0.5 s at the fast level
+	}
+	rel := reliability.Default(plat.Fmin(), plat.Fmax())
+	s, err := NewSystem(plat, noc.Default(2, 2), g, rel, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDeployment(s)
+	for i := 0; i < 8; i++ {
+		// Processor k runs slots 2k and 2k+1, the second from 0.25 s.
+		d.Level[i], d.Proc[i], d.Start[i] = 1, i/2, 0.25*float64(i%2)
+	}
+	want := "core: slots 0 and 1 overlap on processor 0 ([0,0.5] vs [0.25,0.75])"
+	if err := CheckConstraints(s, d); err == nil || err.Error() != want {
+		t.Errorf("CheckConstraints = %v, want %q", err, want)
+	}
+}
+
+// TestNewSystemRejectsBadHorizon: the horizon must be a positive number;
+// NaN passes a plain "<= 0" check, so it is named here.
+func TestNewSystemRejectsBadHorizon(t *testing.T) {
+	s := tinySystem(t, 2, 100)
+	for _, h := range []float64{0, -1, math.NaN()} {
+		if _, err := NewSystem(s.Plat, s.Mesh, s.Graph, s.Rel, h); err == nil {
+			t.Errorf("horizon %g accepted", h)
+		}
 	}
 }
 

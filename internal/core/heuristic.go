@@ -139,10 +139,7 @@ func deployGivenLevels(ctx context.Context, s *System, d *Deployment, seed int64
 		tr.Emit(obs.Event{Kind: obs.HeurPhaseStart, Phase: "P2"})
 	}
 	p2Start := opts.now()
-	order, err := phase2Allocation(s, d, seed, opts)
-	if err != nil {
-		return false, 0, 0, err
-	}
+	order := phase2Allocation(s, d, seed, opts)
 	t2 = opts.now().Sub(p2Start)
 	if tr.Enabled() {
 		tr.Emit(obs.Event{Kind: obs.HeurPhaseEnd, Phase: "P2", Dur: t2.Seconds()})
@@ -293,34 +290,28 @@ func jointLevels(s *System, i int, runningMax float64) (orig, copyLevel int) {
 // total energy for ME — with communication costs estimated by the ρ-average
 // of the real path matrices. It returns the slot order used, which is a
 // topological order of the existing subgraph.
-func phase2Allocation(s *System, d *Deployment, seed int64, opts Options) ([]int, error) {
-	sub, slots := s.exp.ExistingGraph(d.Exists)
+func phase2Allocation(s *System, d *Deployment, seed int64, opts Options) []int {
 	rng := rand.New(rand.NewSource(seed))
-
-	layers, err := sub.LayersErr()
-	if err != nil {
-		return nil, err
-	}
-	var order []int // in sub-graph ids
-	for _, layer := range layers {
-		layer = append([]int(nil), layer...)
+	order, start := s.exp.ExistingLayers(d.Exists)
+	for l := 0; l+1 < len(start); l++ {
+		layer := order[start[l]:start[l+1]]
 		// Shuffle first so equal-cycle ties are broken randomly, then a
 		// stable sort by descending WCEC preserves that random tie order.
 		rng.Shuffle(len(layer), func(i, j int) { layer[i], layer[j] = layer[j], layer[i] })
 		sort.SliceStable(layer, func(a, b int) bool {
-			return sub.Tasks[layer[a]].WCEC > sub.Tasks[layer[b]].WCEC
+			return s.exp.WCEC(layer[a]) > s.exp.WCEC(layer[b])
 		})
-		order = append(order, layer...)
 	}
 
+	edges := s.exp.DepEdges()
 	n := s.Mesh.N()
 	comp := make([]float64, n)
 	comm := make([]float64, n)
-	procFree := make([]float64, n)     // estimated per-processor finish time
-	estEnd := make(map[int]float64, n) // estimated end time per sub-task id
+	procFree := make([]float64, n)           // estimated per-processor finish time
+	estEnd := make([]float64, len(d.Exists)) // estimated end time per slot
 	commDelta := make([]float64, n)
-	for _, ti := range order {
-		slot := slots[ti]
+	tLo, tHi := s.Mesh.TimeBounds()
+	for _, slot := range order {
 		eComp := s.ExecEnergy(slot, d.Level[slot])
 		tComp := s.ExecTime(slot, d.Level[slot])
 		bestK, bestMax := -1, math.Inf(1)
@@ -332,23 +323,26 @@ func phase2Allocation(s *System, d *Deployment, seed int64, opts Options) ([]int
 		// Mirrors scheduleExisting: ready = max predecessor end + summed
 		// communication time. Under the paper's constant estimate the
 		// per-edge time is the global midpoint regardless of placement.
-		tLo, tHi := s.Mesh.TimeBounds()
 		estEndOn := func(k int) float64 {
 			ready, commSum := 0.0, 0.0
-			for _, pa := range sub.Pred(ti) {
+			for _, ei := range s.exp.In(slot) {
+				pa := edges[ei][0]
+				if !d.Exists[pa] {
+					continue
+				}
 				if e := estEnd[pa]; e > ready {
 					ready = e
 				}
 				if opts.CommEstimate == EstimateConstant {
-					commSum += sub.Data(pa, ti) * (tLo + tHi) / 2
+					commSum += s.exp.EdgeData(ei) * (tLo + tHi) / 2
 					continue
 				}
-				if g := d.Proc[slots[pa]]; g != k {
+				if g := d.Proc[pa]; g != k {
 					var avg float64
 					for rho := 0; rho < noc.NumPaths; rho++ {
 						avg += s.Mesh.TimePerByte(g, k, rho)
 					}
-					commSum += sub.Data(pa, ti) * avg / noc.NumPaths
+					commSum += s.exp.EdgeData(ei) * avg / noc.NumPaths
 				}
 			}
 			return math.Max(ready+commSum, procFree[k]) + tComp
@@ -373,12 +367,16 @@ func phase2Allocation(s *System, d *Deployment, seed int64, opts Options) ([]int
 			for kp := range commDelta {
 				commDelta[kp] = 0
 			}
-			for _, pa := range sub.Pred(ti) {
-				g := d.Proc[slots[pa]]
+			for _, ei := range s.exp.In(slot) {
+				pa := edges[ei][0]
+				if !d.Exists[pa] {
+					continue
+				}
+				g := d.Proc[pa]
 				if g == k || opts.CommEstimate == EstimateConstant {
 					continue
 				}
-				bytes := sub.Data(pa, ti)
+				bytes := s.exp.EdgeData(ei)
 				for kp := 0; kp < n; kp++ {
 					var avg float64
 					for rho := 0; rho < noc.NumPaths; rho++ {
@@ -406,17 +404,21 @@ func phase2Allocation(s *System, d *Deployment, seed int64, opts Options) ([]int
 		d.Proc[slot] = bestK
 		comp[bestK] += eComp
 		end := estEndOn(bestK)
-		estEnd[ti] = end
+		estEnd[slot] = end
 		procFree[bestK] = end
 		if opts.CommEstimate == EstimateConstant {
 			continue // the paper's constant E_k^comm carries no placement info
 		}
-		for _, pa := range sub.Pred(ti) {
-			g := d.Proc[slots[pa]]
+		for _, ei := range s.exp.In(slot) {
+			pa := edges[ei][0]
+			if !d.Exists[pa] {
+				continue
+			}
+			g := d.Proc[pa]
 			if g == bestK {
 				continue
 			}
-			bytes := sub.Data(pa, ti)
+			bytes := s.exp.EdgeData(ei)
 			for kp := 0; kp < n; kp++ {
 				var avg float64
 				for rho := 0; rho < noc.NumPaths; rho++ {
@@ -427,27 +429,25 @@ func phase2Allocation(s *System, d *Deployment, seed int64, opts Options) ([]int
 		}
 	}
 
-	slotOrder := make([]int, len(order))
-	for i, ti := range order {
-		slotOrder[i] = slots[ti]
-	}
 	// Initial schedule (t^s, and implicitly u) with ρ-averaged comm times.
-	scheduleExisting(s, d, slotOrder, func(i int) float64 {
+	scheduleExisting(s, d, order, func(i int) float64 {
 		return avgCommTime(s, d, i)
 	})
-	return slotOrder, nil
+	return order
 }
 
 // avgCommTime is t_i^comm with per-pair times averaged over the candidate
 // paths (used before Phase 3 fixes the routes).
 func avgCommTime(s *System, d *Deployment, i int) float64 {
+	edges := s.exp.DepEdges()
+	gamma := d.Proc[i]
 	var t float64
-	for _, pair := range s.exp.DepEdges() {
-		a, b := pair[0], pair[1]
-		if b != i || !d.Exists[a] {
+	for _, k := range s.exp.In(i) {
+		a := edges[k][0]
+		if !d.Exists[a] {
 			continue
 		}
-		beta, gamma := d.Proc[a], d.Proc[b]
+		beta := d.Proc[a]
 		if beta == gamma {
 			continue
 		}
@@ -455,7 +455,7 @@ func avgCommTime(s *System, d *Deployment, i int) float64 {
 		for rho := 0; rho < noc.NumPaths; rho++ {
 			avg += s.Mesh.TimePerByte(beta, gamma, rho)
 		}
-		t += s.exp.Data(a, b) * avg / noc.NumPaths
+		t += s.exp.EdgeData(k) * avg / noc.NumPaths
 	}
 	return t
 }
@@ -465,13 +465,14 @@ func avgCommTime(s *System, d *Deployment, i int) float64 {
 // free and every predecessor has finished and its input data has arrived
 // (constraints (6) and (7)). It returns the makespan.
 func scheduleExisting(s *System, d *Deployment, order []int, commTime func(i int) float64) float64 {
+	edges := s.exp.DepEdges()
 	procFree := make([]float64, s.Mesh.N())
 	var makespan float64
 	for _, i := range order {
 		ready := 0.0
-		for _, pair := range s.exp.DepEdges() {
-			a, b := pair[0], pair[1]
-			if b != i || !d.Exists[a] {
+		for _, k := range s.exp.In(i) {
+			a := edges[k][0]
+			if !d.Exists[a] {
 				continue
 			}
 			if e := d.End(s, a); e > ready {
@@ -492,22 +493,13 @@ func scheduleExisting(s *System, d *Deployment, order []int, commTime func(i int
 }
 
 // ScheduleOrder returns a topological order of d's existing slots, the
-// order Reschedule replays them in. It depends on Exists alone, so one
-// order serves every move that leaves Exists unchanged. The error
-// reports a broken existing subgraph (a dependency cycle).
-func ScheduleOrder(s *System, d *Deployment) ([]int, error) {
-	sub, slots := s.exp.ExistingGraph(d.Exists)
-	layers, err := sub.LayersErr()
-	if err != nil {
-		return nil, err
-	}
-	var order []int
-	for _, layer := range layers {
-		for _, t := range layer {
-			order = append(order, slots[t])
-		}
-	}
-	return order, nil
+// order Reschedule replays them in: layer by layer of dependency depth,
+// ascending within a layer (task.Expanded.ExistingLayers). It depends on
+// Exists alone, so one order serves every move that leaves Exists
+// unchanged.
+func ScheduleOrder(s *System, d *Deployment) []int {
+	order, _ := s.exp.ExistingLayers(d.Exists)
+	return order
 }
 
 // Reschedule list-schedules d's existing slots in order (see

@@ -128,13 +128,7 @@ func Improve(s *System, d *Deployment, opts Options, maxMoves int) (*Deployment,
 		bestObj = m.Objective(opts.Objective)
 	}
 	accepted := 0
-
-	order, err := ScheduleOrder(s, best)
-	if err != nil {
-		// The input deployment's existing subgraph is broken; no move can
-		// fix that, so return the input unchanged.
-		return best, bestObj, 0
-	}
+	order := ScheduleOrder(s, best)
 
 	for accepted < maxMoves {
 		improved := false
@@ -192,10 +186,7 @@ func ImprovePaths(s *System, d *Deployment, opts Options) (*Deployment, float64)
 	if m, err := ComputeMetrics(s, best); err == nil {
 		bestObj = m.Objective(opts.Objective)
 	}
-	order, err := ScheduleOrder(s, best)
-	if err != nil {
-		return best, bestObj
-	}
+	order := ScheduleOrder(s, best)
 	for changed := true; changed; {
 		changed = false
 		for b := 0; b < s.Mesh.N(); b++ {

@@ -103,16 +103,10 @@ type System struct {
 // NewSystem validates and assembles a problem instance. The platform's
 // processor count must match the mesh size.
 func NewSystem(plat *platform.Platform, mesh *noc.Mesh, g *task.Graph, rel reliability.Model, horizon float64) (*System, error) {
-	if plat.N != mesh.N() {
-		return nil, fmt.Errorf("core: platform has %d processors but mesh has %d", plat.N, mesh.N())
-	}
-	if err := g.Validate(); err != nil {
+	if err := checkInputs(plat, mesh, g, rel); err != nil {
 		return nil, err
 	}
-	if err := rel.Validate(); err != nil {
-		return nil, err
-	}
-	if horizon <= 0 {
+	if !(horizon > 0) { // also rejects NaN
 		return nil, fmt.Errorf("core: horizon %g must be positive", horizon)
 	}
 	s := &System{Plat: plat, Mesh: mesh, Graph: g, Rel: rel, H: horizon}
@@ -125,6 +119,19 @@ func NewSystem(plat *platform.Platform, mesh *noc.Mesh, g *task.Graph, rel relia
 		}
 	}
 	return s, nil
+}
+
+// checkInputs is the input check NewSystem and Horizon share: the
+// platform matches the mesh, and the graph and reliability model are
+// valid.
+func checkInputs(plat *platform.Platform, mesh *noc.Mesh, g *task.Graph, rel reliability.Model) error {
+	if plat.N != mesh.N() {
+		return fmt.Errorf("core: platform has %d processors but mesh has %d", plat.N, mesh.N())
+	}
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	return rel.Validate()
 }
 
 // Expanded returns the 2M duplication-expanded task view.
@@ -145,55 +152,46 @@ func (s *System) ExecEnergy(slot, l int) float64 {
 	return s.Plat.ExecEnergy(s.exp.WCEC(slot), l)
 }
 
-// AvgCompTime is the paper's t_i,ave^comp: the midpoint of the fastest and
-// slowest execution time of original task i.
-func (s *System) AvgCompTime(i int) float64 {
-	lo, hi := math.Inf(1), 0.0
-	for l := 0; l < s.Plat.L(); l++ {
-		t := s.Plat.ExecTime(s.Graph.Tasks[i].WCEC, l)
-		if t < lo {
-			lo = t
-		}
-		if t > hi {
-			hi = t
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// AvgCommTime is the paper's t_i,ave^comm: the number of predecessors of
-// task i times the midpoint of the fastest and slowest per-byte path time,
-// scaled by the average inbound payload.
-func (s *System) AvgCommTime(i int) float64 {
-	preds := s.Graph.Pred(i)
-	if len(preds) == 0 {
-		return 0
-	}
-	lo, hi := s.Mesh.TimeBounds()
-	var bytes float64
-	for _, p := range preds {
-		bytes += s.Graph.Data(p, i)
-	}
-	return bytes * (lo + hi) / 2
-}
-
 // Horizon returns the paper's experiment horizon
-// H = α·Σ_{i∈C}(t_i,ave^comp + t_i,ave^comm) over the critical path C.
+// H = α·Σ_{i∈C}(t_i,ave^comp + t_i,ave^comm) over the critical path C. It
+// checks its inputs as NewSystem does.
 func Horizon(plat *platform.Platform, mesh *noc.Mesh, g *task.Graph, rel reliability.Model, alpha float64) (float64, error) {
-	// Build a throwaway system with a unit horizon to reuse its helpers.
-	s, err := NewSystem(plat, mesh, g, rel, 1)
-	if err != nil {
+	if err := checkInputs(plat, mesh, g, rel); err != nil {
 		return 0, err
 	}
-	crit, err := g.CriticalPathErr(func(i int) float64 {
-		return s.AvgCompTime(i) + s.AvgCommTime(i)
-	})
+	tLo, tHi := mesh.TimeBounds()
+	w := make([]float64, g.M())
+	for i, t := range g.Tasks {
+		// t_i,ave^comp: the midpoint of the fastest and slowest execution
+		// time of task i.
+		lo, hi := math.Inf(1), 0.0
+		for l := 0; l < plat.L(); l++ {
+			et := plat.ExecTime(t.WCEC, l)
+			if et < lo {
+				lo = et
+			}
+			if et > hi {
+				hi = et
+			}
+		}
+		w[i] = (lo + hi) / 2
+		// t_i,ave^comm: the inbound payload times the midpoint of the
+		// fastest and slowest per-byte path time.
+		if preds := g.Pred(i); len(preds) > 0 {
+			var bytes float64
+			for _, p := range preds {
+				bytes += g.Data(p, i)
+			}
+			w[i] += bytes * (tLo + tHi) / 2
+		}
+	}
+	crit, err := g.CriticalPathErr(func(i int) float64 { return w[i] })
 	if err != nil {
 		return 0, err
 	}
 	var sum float64
 	for _, i := range crit {
-		sum += s.AvgCompTime(i) + s.AvgCommTime(i)
+		sum += w[i]
 	}
 	return alpha * sum, nil
 }
@@ -265,18 +263,19 @@ func (d *Deployment) CommTime(s *System, i int) float64 {
 	if !d.Exists[i] {
 		return 0
 	}
+	edges := s.exp.DepEdges()
+	gamma := d.Proc[i]
 	var t float64
-	for _, pair := range s.exp.DepEdges() {
-		a, b := pair[0], pair[1]
-		if b != i || !d.Exists[a] {
+	for _, k := range s.exp.In(i) {
+		a := edges[k][0]
+		if !d.Exists[a] {
 			continue
 		}
-		beta, gamma := d.Proc[a], d.Proc[b]
+		beta := d.Proc[a]
 		if beta == gamma {
 			continue
 		}
-		rho := d.PathSel[beta][gamma]
-		t += s.exp.Data(a, b) * s.Mesh.TimePerByte(beta, gamma, rho)
+		t += s.exp.EdgeData(k) * s.Mesh.TimePerByte(beta, gamma, d.PathSel[beta][gamma])
 	}
 	return t
 }

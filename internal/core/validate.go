@@ -77,7 +77,7 @@ func ComputeMetrics(s *System, d *Deployment) (*Metrics, error) {
 			m.Makespan = e
 		}
 	}
-	for _, pair := range s.exp.DepEdges() {
+	for ei, pair := range s.exp.DepEdges() {
 		a, b := pair[0], pair[1]
 		if !d.Exists[a] || !d.Exists[b] {
 			continue
@@ -87,8 +87,10 @@ func ComputeMetrics(s *System, d *Deployment) (*Metrics, error) {
 			continue
 		}
 		rho := d.PathSel[beta][gamma]
-		bytes := s.exp.Data(a, b)
-		for k := 0; k < n; k++ {
+		bytes := s.exp.EdgeData(ei)
+		// e[β][γ][k][ρ] is zero at every router k off the path, and bytes
+		// is finite, so only the path's routers change.
+		for _, k := range s.Mesh.PathOf(beta, gamma, rho).Nodes {
 			m.CommEnergy[k] += bytes * s.Mesh.EnergyPerByte(beta, gamma, k, rho)
 		}
 	}
@@ -192,37 +194,50 @@ func CheckConstraints(s *System, d *Deployment) error {
 			return fmt.Errorf("core: slot %d ends at %g beyond horizon %g", i, e, s.H)
 		}
 	}
-	// (6): precedence with communication.
+	// (6): precedence with communication, reported in DepEdges order.
+	comm := make([]float64, s.exp.Size())
+	for i := range comm {
+		comm[i] = d.CommTime(s, i)
+	}
 	for _, pair := range s.exp.DepEdges() {
 		a, b := pair[0], pair[1]
 		if !d.Exists[a] || !d.Exists[b] {
 			continue
 		}
-		need := d.End(s, a) + d.CommTime(s, b)
+		need := d.End(s, a) + comm[b]
 		if d.Start[b]+timeTol < need {
 			return fmt.Errorf("core: slot %d starts at %g before predecessor %d finishes + comm (%g)",
 				b, d.Start[b], a, need)
 		}
 	}
-	// (7): tasks on the same processor must not overlap.
+	// (7): tasks on the same processor must not overlap. One sort by
+	// (processor, start, slot) puts each processor's tasks side by side,
+	// so the first overlap reported is on the lowest-numbered processor.
 	type ival struct {
-		s, e float64
-		id   int
+		k, id int
+		s, e  float64
 	}
-	perProc := map[int][]ival{}
+	ivs := make([]ival, 0, s.exp.Size())
 	for i := 0; i < s.exp.Size(); i++ {
-		if !d.Exists[i] {
-			continue
+		if d.Exists[i] {
+			ivs = append(ivs, ival{d.Proc[i], i, d.Start[i], d.End(s, i)})
 		}
-		perProc[d.Proc[i]] = append(perProc[d.Proc[i]], ival{d.Start[i], d.End(s, i), i})
 	}
-	for k, ivs := range perProc {
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].s < ivs[j].s })
-		for i := 1; i < len(ivs); i++ {
-			if ivs[i].s+timeTol < ivs[i-1].e {
-				return fmt.Errorf("core: slots %d and %d overlap on processor %d ([%g,%g] vs [%g,%g])",
-					ivs[i-1].id, ivs[i].id, k, ivs[i-1].s, ivs[i-1].e, ivs[i].s, ivs[i].e)
-			}
+	sort.Slice(ivs, func(i, j int) bool {
+		a, b := ivs[i], ivs[j]
+		if a.k != b.k {
+			return a.k < b.k
+		}
+		if a.s != b.s { //lint:allow floateq — deterministic sort key; a tolerance would break transitivity
+			return a.s < b.s
+		}
+		return a.id < b.id
+	})
+	for i := 1; i < len(ivs); i++ {
+		prev, cur := ivs[i-1], ivs[i]
+		if cur.k == prev.k && cur.s+timeTol < prev.e {
+			return fmt.Errorf("core: slots %d and %d overlap on processor %d ([%g,%g] vs [%g,%g])",
+				prev.id, cur.id, cur.k, prev.s, prev.e, cur.s, cur.e)
 		}
 	}
 	return nil

@@ -264,10 +264,7 @@ func repairDestroyed(ctx context.Context, st *State, d *core.Deployment, destroy
 		return ia < ib
 	})
 	// Placements change Proc only, so one schedule order serves them all.
-	order, err := core.ScheduleOrder(st.Sys, d)
-	if err != nil {
-		return nil // broken existing subgraph; no placement can fix it
-	}
+	order := core.ScheduleOrder(st.Sys, d)
 	n := st.Sys.Mesh.N()
 	for _, slot := range destroyed {
 		bestK, bestObj, bestFits := -1, math.Inf(1), false

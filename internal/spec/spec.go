@@ -123,9 +123,7 @@ func (in Instance) Build() (*core.System, error) {
 	for _, e := range in.Graph.Edges {
 		g.AddEdge(e.From, e.To, e.Bytes)
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
+	// core.Horizon and core.NewSystem validate the graph.
 	rel := reliability.Default(plat.Fmin(), plat.Fmax())
 	if in.Reliability.LambdaMax > 0 {
 		rel.LambdaMax = in.Reliability.LambdaMax

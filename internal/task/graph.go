@@ -12,6 +12,7 @@ package task
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -72,8 +73,15 @@ func (g *Graph) Validate() error {
 		if t.ID != i {
 			return fmt.Errorf("task: task %d has inconsistent id %d", i, t.ID)
 		}
+		// NaN fails every comparison, so finiteness is checked first.
+		if !finite(t.WCEC) {
+			return fmt.Errorf("task: task %d has non-finite WCEC %g", i, t.WCEC)
+		}
 		if t.WCEC <= 0 {
 			return fmt.Errorf("task: task %d has non-positive WCEC %g", i, t.WCEC)
+		}
+		if !finite(t.Deadline) {
+			return fmt.Errorf("task: task %d has non-finite deadline %g", i, t.Deadline)
 		}
 		if t.Deadline <= 0 {
 			return fmt.Errorf("task: task %d has non-positive deadline %g", i, t.Deadline)
@@ -88,6 +96,9 @@ func (g *Graph) Validate() error {
 		}
 		if e.From == e.To {
 			return fmt.Errorf("task: self edge on task %d", e.From)
+		}
+		if !finite(e.Bytes) {
+			return fmt.Errorf("task: edge %d→%d has non-finite data size %g", e.From, e.To, e.Bytes)
 		}
 		if e.Bytes < 0 {
 			return fmt.Errorf("task: edge %d→%d has negative data size", e.From, e.To)
@@ -105,6 +116,9 @@ func (g *Graph) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Succ returns the successor ids of task i.
 func (g *Graph) Succ(i int) []int { return g.succ[i] }
@@ -281,18 +295,25 @@ func (g *Graph) Clone() *Graph {
 // where slot i+M is the copy of task i. Which copies exist is a decision
 // (the paper's h variable), so Expanded only fixes structure: WCEC,
 // deadlines and the dependency pattern p over 2M×2M.
+//
+// Every deployment evaluation walks this structure, so Expand computes
+// what the walks need once: the sorted expanded edges, each edge's data
+// size, each slot's incoming edges and a topological order of the base
+// tasks. An evaluation then costs time linear in the expanded graph.
 type Expanded struct {
 	Base *Graph
 	M    int // original task count; expanded size is 2M
 
-	// depEdges caches the sorted expanded dependency pairs. The structure
-	// is immutable after Expand, and DepEdges sits on the hot path of
-	// every deployment evaluation, so it is computed once here rather
-	// than rebuilt and re-sorted per call.
-	depEdges [][2]int
+	depEdges [][2]int  // expanded dependency pairs, sorted by (from, to)
+	edgeData []float64 // edgeData[k]: bytes carried by depEdges[k]
+	// inEdge[inStart[b]:inStart[b+1]] are the indices into depEdges of
+	// the edges into slot b, in depEdges order.
+	inStart []int
+	inEdge  []int
+	topo    []int // a topological order of the base tasks
 }
 
-// Expand builds the 2M-slot expanded view.
+// Expand builds the 2M-slot expanded view of a validated graph.
 func Expand(g *Graph) *Expanded {
 	e := &Expanded{Base: g, M: g.M()}
 	e.depEdges = make([][2]int, 0, 4*len(g.Edges))
@@ -310,6 +331,27 @@ func Expand(g *Graph) *Expanded {
 		}
 		return e.depEdges[i][1] < e.depEdges[j][1]
 	})
+	e.edgeData = make([]float64, len(e.depEdges))
+	e.inStart = make([]int, e.Size()+1)
+	for k, pair := range e.depEdges {
+		e.edgeData[k] = e.Data(pair[0], pair[1])
+		e.inStart[pair[1]+1]++
+	}
+	for b := 0; b < e.Size(); b++ {
+		e.inStart[b+1] += e.inStart[b]
+	}
+	e.inEdge = make([]int, len(e.depEdges))
+	next := append([]int(nil), e.inStart[:e.Size()]...)
+	for k, pair := range e.depEdges {
+		e.inEdge[next[pair[1]]] = k
+		next[pair[1]]++
+	}
+	topo, err := g.TopoOrder()
+	if err != nil {
+		//lint:allow nopanic — invariant: Expand takes a graph that passed Validate, which rejects cycles
+		panic("task: Expand of an unvalidated graph: " + err.Error())
+	}
+	e.topo = topo
 	return e
 }
 
@@ -351,41 +393,59 @@ func (e *Expanded) Data(from, to int) float64 {
 // it as read-only.
 func (e *Expanded) DepEdges() [][2]int { return e.depEdges }
 
-// ExistingGraph materializes the subgraph of slots with exists[i] == true as
-// a standalone Graph (ids renumbered compactly) and returns the slot id for
-// each new task. It is used by the heuristic's layering step and by the
-// discrete-event simulator.
-func (e *Expanded) ExistingGraph(exists []bool) (*Graph, []int) {
+// EdgeData returns the bytes carried by DepEdges()[k]: Data of its pair.
+func (e *Expanded) EdgeData(k int) float64 { return e.edgeData[k] }
+
+// In returns the indices into DepEdges of the edges into slot b, in
+// DepEdges order, so by ascending predecessor slot. The slice is shared:
+// callers must treat it as read-only.
+func (e *Expanded) In(b int) []int { return e.inEdge[e.inStart[b]:e.inStart[b+1]] }
+
+// ExistingLayers layers the slots i with exists[i] by longest-path depth
+// over their existing predecessors, the layering of Algorithm 2: a slot
+// with no existing predecessor is in layer 0, any other one a layer below
+// its deepest existing predecessor. It returns the slots layer by layer
+// in one slice, ascending within each layer, and the layer bounds: layer
+// l is order[start[l]:start[l+1]]. The order is topological over the
+// existing slots.
+func (e *Expanded) ExistingLayers(exists []bool) (order, start []int) {
 	if len(exists) != e.Size() {
 		//lint:allow nopanic — programmer error: the exists mask must match the expanded size
 		panic(fmt.Sprintf("task: exists length %d, want %d", len(exists), e.Size()))
 	}
-	idOf := make([]int, e.Size())
-	for i := range idOf {
-		idOf[i] = -1
-	}
-	g := New()
-	var slots []int
-	for i := 0; i < e.Size(); i++ {
-		if !exists[i] {
-			continue
-		}
-		name := e.Base.Tasks[e.Orig(i)].Name
-		if e.IsCopy(i) {
-			name += "'"
-		}
-		idOf[i] = g.AddTask(name, e.WCEC(i), e.Deadline(i))
-		slots = append(slots, i)
-	}
-	for _, pair := range e.DepEdges() {
-		a, b := pair[0], pair[1]
-		if idOf[a] >= 0 && idOf[b] >= 0 {
-			g.AddEdge(idOf[a], idOf[b], e.Data(a, b))
+	level := make([]int, e.Size())
+	deepest := -1
+	for _, v := range e.topo {
+		for _, slot := range [2]int{v, v + e.M} {
+			if !exists[slot] {
+				continue
+			}
+			for _, k := range e.In(slot) {
+				if a := e.depEdges[k][0]; exists[a] && level[a]+1 > level[slot] {
+					level[slot] = level[a] + 1
+				}
+			}
+			if level[slot] > deepest {
+				deepest = level[slot]
+			}
 		}
 	}
-	if err := g.Validate(); err != nil {
-		//lint:allow nopanic — invariant: a subgraph of a validated DAG is a valid DAG
-		panic("task: expanded subgraph invalid: " + err.Error())
+	start = make([]int, deepest+2)
+	for i, ex := range exists {
+		if ex {
+			start[level[i]+1]++
+		}
 	}
-	return g, slots
+	for l := 0; l <= deepest; l++ {
+		start[l+1] += start[l]
+	}
+	order = make([]int, start[deepest+1])
+	next := append([]int(nil), start[:deepest+1]...)
+	for i, ex := range exists {
+		if ex {
+			order[next[level[i]]] = i
+			next[level[i]]++
+		}
+	}
+	return order, start
 }

@@ -1,7 +1,9 @@
 package task
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -76,6 +78,29 @@ func TestValidateRejectsBadGraphs(t *testing.T) {
 	for _, c := range cases {
 		if err := c.build().Validate(); err == nil {
 			t.Errorf("%s: expected validation error", c.name)
+		}
+	}
+	// NaN fails every comparison, so each non-finite value needs its own
+	// check; the error names the task or edge. Each graph is 0→1 with
+	// task 1 and the edge carrying the values under test.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name, want            string
+		wcec, deadline, bytes float64
+	}{
+		{"NaN wcec", "task 1 has non-finite WCEC", nan, 1, 1},
+		{"infinite wcec", "task 1 has non-finite WCEC", inf, 1, 1},
+		{"NaN deadline", "task 1 has non-finite deadline", 1, nan, 1},
+		{"infinite deadline", "task 1 has non-finite deadline", 1, inf, 1},
+		{"NaN data", "edge 0→1 has non-finite data size", 1, 1, nan},
+		{"infinite data", "edge 0→1 has non-finite data size", 1, 1, inf},
+	} {
+		g := New()
+		g.AddTask("", 1, 1)
+		g.AddTask("", c.wcec, c.deadline)
+		g.AddEdge(0, 1, c.bytes)
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
 	}
 }
@@ -218,35 +243,32 @@ func TestExpandedDepEdges(t *testing.T) {
 	}
 }
 
-func TestExistingGraphSubset(t *testing.T) {
+func TestExistingLayersSubset(t *testing.T) {
 	g := chain(t, 3)
 	e := Expand(g)
 	exists := []bool{true, true, true, true, false, false} // only τ1 duplicated
-	sub, slots := e.ExistingGraph(exists)
-	if sub.M() != 4 {
-		t.Fatalf("existing graph has %d tasks, want 4", sub.M())
+	order, start := e.ExistingLayers(exists)
+	// Existing edges: 0→1, 1→2 and 3→1 (the copy of τ1 feeds τ2). The
+	// layering groups each copy with its original, as in Fig. 1(c), and
+	// holds only the chosen slots.
+	want := [][]int{{0, 3}, {1}, {2}}
+	if len(start) != len(want)+1 || len(order) != 4 {
+		t.Fatalf("order %v, layer bounds %v; want layers %v", order, start, want)
 	}
-	if !reflect.DeepEqual(slots, []int{0, 1, 2, 3}) {
-		t.Fatalf("slots = %v", slots)
+	for l, w := range want {
+		if got := order[start[l]:start[l+1]]; !reflect.DeepEqual(got, w) {
+			t.Errorf("layer %d = %v, want %v", l, got, w)
+		}
 	}
-	// Edges: 0→1, 1→2, 3→1 (copy of τ1 feeds τ2).
-	if len(sub.Edges) != 3 {
-		t.Fatalf("existing graph has %d edges, want 3: %v", len(sub.Edges), sub.Edges)
-	}
-	if !sub.HasEdge(3, 1) {
-		t.Error("copy slot 3 should feed task 1")
-	}
-	// Layering groups each copy with its original, as in Fig. 1(c).
-	layers := sub.Layers()
-	if len(layers) != 3 {
-		t.Fatalf("layers = %v", layers)
-	}
-	if !reflect.DeepEqual(layers[0], []int{0, 3}) {
-		t.Errorf("layer 0 = %v, want [0 3]", layers[0])
+	// Only edges between chosen slots count: without τ2, τ1 and τ3 are
+	// both sources.
+	order, start = e.ExistingLayers([]bool{true, false, true, false, false, false})
+	if !reflect.DeepEqual(order, []int{0, 2}) || !reflect.DeepEqual(start, []int{0, 2}) {
+		t.Errorf("order %v, layer bounds %v; want one layer [0 2]", order, start)
 	}
 }
 
-func TestExistingGraphPanicsOnBadLength(t *testing.T) {
+func TestExistingLayersPanicsOnBadLength(t *testing.T) {
 	g := chain(t, 2)
 	e := Expand(g)
 	defer func() {
@@ -254,5 +276,5 @@ func TestExistingGraphPanicsOnBadLength(t *testing.T) {
 			t.Error("expected panic for wrong exists length")
 		}
 	}()
-	e.ExistingGraph([]bool{true})
+	e.ExistingLayers([]bool{true})
 }

@@ -121,7 +121,9 @@ func TestCriticalPathProperty(t *testing.T) {
 
 // Property: the duplication expansion is structure-preserving — DepEdges
 // has exactly 4 entries per base edge, Dep is consistent with DepEdges,
-// and ExistingGraph with all-true selects all 2M slots with 4·E edges.
+// In lists each slot's incoming edges with their data sizes, and
+// ExistingLayers with all-true layers all 2M slots under all 4·E edges,
+// with a random subset only the chosen slots under their edges.
 func TestExpandProperty(t *testing.T) {
 	f := func(seed int64, mRaw uint8) bool {
 		m := 2 + int(mRaw%10)
@@ -142,14 +144,72 @@ func TestExpandProperty(t *testing.T) {
 		if len(seen) != len(edges) {
 			return false
 		}
+		in := 0
+		for b := 0; b < e.Size(); b++ {
+			prev := -1
+			for _, k := range e.In(b) {
+				if edges[k][1] != b || k <= prev || e.EdgeData(k) != e.Data(edges[k][0], b) {
+					return false
+				}
+				prev = k
+				in++
+			}
+		}
+		if in != len(edges) {
+			return false
+		}
 		all := make([]bool, e.Size())
 		for i := range all {
 			all[i] = true
 		}
-		sub, slots := e.ExistingGraph(all)
-		return sub.M() == 2*m && len(sub.Edges) == 4*len(g.Edges) && len(slots) == 2*m
+		if order, checked := layeredEdges(e, all); len(order) != 2*m || checked != 4*len(g.Edges) {
+			return false
+		}
+		rng := rand.New(rand.NewSource(seed))
+		subset := make([]bool, e.Size())
+		chosen := 0
+		for i := range subset {
+			if subset[i] = rng.Intn(2) == 0; subset[i] {
+				chosen++
+			}
+		}
+		order, checked := layeredEdges(e, subset)
+		return len(order) == chosen && checked >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// layeredEdges layers the slots chosen by exists and checks the layering:
+// it holds each chosen slot once and no other, layers ascend by slot, and
+// every edge between chosen slots descends at least one layer. It returns
+// the order and the number of edges checked, or -1 edges on a violation.
+func layeredEdges(e *Expanded, exists []bool) ([]int, int) {
+	order, start := e.ExistingLayers(exists)
+	level := make([]int, e.Size())
+	for i := range level {
+		level[i] = -1
+	}
+	for l := 0; l+1 < len(start); l++ {
+		for j := start[l]; j < start[l+1]; j++ {
+			v := order[j]
+			if !exists[v] || level[v] >= 0 || (j > start[l] && order[j-1] >= v) {
+				return order, -1
+			}
+			level[v] = l
+		}
+	}
+	checked := 0
+	for _, pr := range e.DepEdges() {
+		a, b := pr[0], pr[1]
+		if !exists[a] || !exists[b] {
+			continue
+		}
+		if level[a] >= level[b] {
+			return order, -1
+		}
+		checked++
+	}
+	return order, checked
 }
