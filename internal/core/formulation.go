@@ -185,7 +185,7 @@ func BuildFormulation(s *System, opts Options) *Formulation {
 	pressure := milp.NewExpr(0)
 	for ei, pair := range edges {
 		a, b := pair[0], pair[1]
-		bytes := s.exp.Data(a, b)
+		bytes := s.exp.EdgeData(ei)
 		for beta := 0; beta < N; beta++ {
 			for gamma := 0; gamma < N; gamma++ {
 				if beta == gamma {
@@ -208,13 +208,14 @@ func BuildFormulation(s *System, opts Options) *Formulation {
 					}
 					m.AddConstr(lb, lp.LE, float64(count-1))
 					pressure.Add(q, 1)
-					tt := bytes * s.Mesh.TimePerByte(beta, gamma, rho)
+					p := s.Mesh.PathOf(beta, gamma, rho)
 					if commTime[b] == nil {
 						commTime[b] = milp.NewExpr(0)
 					}
-					commTime[b].Add(q, tt)
-					for k := 0; k < N; k++ {
-						if e := s.Mesh.EnergyPerByte(beta, gamma, k, rho); e > 0 {
+					commTime[b].Add(q, bytes*p.Time)
+					// Only the path's routers spend energy on this transfer.
+					for i, k := range p.Nodes {
+						if e := p.Energy[i]; e > 0 {
 							energyExpr[k].Add(q, bytes*e)
 						}
 					}

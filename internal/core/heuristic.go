@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -288,7 +289,7 @@ func jointLevels(s *System, i int, runningMax float64) (orig, copyLevel int) {
 // (random tie-break), then greedily allocated to the processor minimizing
 // the objective increase — the maximum per-processor energy for BE, the
 // total energy for ME — with communication costs estimated by the ρ-average
-// of the real path matrices. It returns the slot order used, which is a
+// over the real candidate paths. It returns the slot order used, which is a
 // topological order of the existing subgraph.
 func phase2Allocation(s *System, d *Deployment, seed int64, opts Options) []int {
 	rng := rand.New(rand.NewSource(seed))
@@ -338,11 +339,7 @@ func phase2Allocation(s *System, d *Deployment, seed int64, opts Options) []int 
 					continue
 				}
 				if g := d.Proc[pa]; g != k {
-					var avg float64
-					for rho := 0; rho < noc.NumPaths; rho++ {
-						avg += s.Mesh.TimePerByte(g, k, rho)
-					}
-					commSum += s.exp.EdgeData(ei) * avg / noc.NumPaths
+					commSum += avgEdgeTime(s, ei, g, k)
 				}
 			}
 			return math.Max(ready+commSum, procFree[k]) + tComp
@@ -376,14 +373,7 @@ func phase2Allocation(s *System, d *Deployment, seed int64, opts Options) []int 
 				if g == k || opts.CommEstimate == EstimateConstant {
 					continue
 				}
-				bytes := s.exp.EdgeData(ei)
-				for kp := 0; kp < n; kp++ {
-					var avg float64
-					for rho := 0; rho < noc.NumPaths; rho++ {
-						avg += s.Mesh.EnergyPerByte(g, k, kp, rho)
-					}
-					commDelta[kp] += bytes * avg / noc.NumPaths
-				}
+				addAvgCommEnergy(s, commDelta, g, k, s.exp.EdgeData(ei))
 			}
 			score := 0.0
 			for kp := 0; kp < n; kp++ {
@@ -414,17 +404,8 @@ func phase2Allocation(s *System, d *Deployment, seed int64, opts Options) []int 
 			if !d.Exists[pa] {
 				continue
 			}
-			g := d.Proc[pa]
-			if g == bestK {
-				continue
-			}
-			bytes := s.exp.EdgeData(ei)
-			for kp := 0; kp < n; kp++ {
-				var avg float64
-				for rho := 0; rho < noc.NumPaths; rho++ {
-					avg += s.Mesh.EnergyPerByte(g, bestK, kp, rho)
-				}
-				comm[kp] += bytes * avg / noc.NumPaths
+			if g := d.Proc[pa]; g != bestK {
+				addAvgCommEnergy(s, comm, g, bestK, s.exp.EdgeData(ei))
 			}
 		}
 	}
@@ -447,17 +428,46 @@ func avgCommTime(s *System, d *Deployment, i int) float64 {
 		if !d.Exists[a] {
 			continue
 		}
-		beta := d.Proc[a]
-		if beta == gamma {
-			continue
+		if beta := d.Proc[a]; beta != gamma {
+			t += avgEdgeTime(s, k, beta, gamma)
 		}
-		var avg float64
-		for rho := 0; rho < noc.NumPaths; rho++ {
-			avg += s.Mesh.TimePerByte(beta, gamma, rho)
-		}
-		t += s.exp.EdgeData(k) * avg / noc.NumPaths
 	}
 	return t
+}
+
+// avgEdgeTime is the time to move dependency edge ei's data from β to γ
+// with t[β][γ][ρ] averaged over the candidate paths ρ.
+func avgEdgeTime(s *System, ei, beta, gamma int) float64 {
+	var avg float64
+	for rho := 0; rho < noc.NumPaths; rho++ {
+		avg += s.Mesh.TimePerByte(beta, gamma, rho)
+	}
+	return s.exp.EdgeData(ei) * avg / noc.NumPaths
+}
+
+// addAvgCommEnergy adds to into[k] the energy router k spends moving bytes
+// from β to γ, with e[β][γ][k][ρ] averaged over the candidate paths ρ. The
+// energy is zero off a path, so only the routers of the candidate paths
+// change, each once.
+func addAvgCommEnergy(s *System, into []float64, beta, gamma int, bytes float64) {
+	var paths [noc.NumPaths]noc.Path
+	for rho := range paths {
+		paths[rho] = s.Mesh.PathOf(beta, gamma, rho)
+	}
+	for rho, p := range paths {
+		for _, k := range p.Nodes {
+			if slices.ContainsFunc(paths[:rho], func(q noc.Path) bool { return slices.Contains(q.Nodes, k) }) {
+				continue // charged with an earlier path
+			}
+			var avg float64
+			for _, q := range paths[rho:] {
+				if i := slices.Index(q.Nodes, k); i >= 0 {
+					avg += q.Energy[i]
+				}
+			}
+			into[k] += bytes * avg / noc.NumPaths
+		}
+	}
 }
 
 // scheduleExisting list-schedules existing slots in the given topological

@@ -234,14 +234,13 @@ func refFeasible(s *System, d *Deployment) bool {
 
 // fuzzInstance builds a random W×H instance with M tasks: a DAG over a
 // random permutation of the ids (so the id order is not topological),
-// some zero-byte edges, some tight deadlines, either path policy, and a
-// horizon that some schedules miss. Half the instances have a threshold
-// every level meets, so checks (6) and (7) are not masked by (4)–(5).
+// some zero-byte edges, some tight deadlines, and a horizon that some
+// schedules miss. Half the instances have a threshold every level meets,
+// so checks (6) and (7) are not masked by (4)–(5).
 func fuzzInstance(rng *rand.Rand, w, h, m int) (*System, error) {
 	plat := platform.Default(w * h)
 	mesh, err := noc.NewMesh(noc.Config{
 		W: w, H: h, Link: noc.DefaultLinkParams(), Jitter: 0.25, Seed: rng.Int63(),
-		Policy: noc.PathPolicy(rng.Intn(2)),
 	})
 	if err != nil {
 		return nil, err

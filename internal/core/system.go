@@ -46,7 +46,7 @@ type CommEstimate int
 // Communication-estimate variants for the heuristic's phase 2.
 const (
 	// EstimatePathAverage prices each placed predecessor edge with the
-	// ρ-average of the real matrices (zero when co-located) — this
+	// ρ-average over the real candidate paths (zero when co-located) — this
 	// repository's default interpretation (see DESIGN.md).
 	EstimatePathAverage CommEstimate = iota
 	// EstimateConstant uses the paper's literal formula: fixed averages

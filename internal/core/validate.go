@@ -86,12 +86,12 @@ func ComputeMetrics(s *System, d *Deployment) (*Metrics, error) {
 		if beta == gamma {
 			continue
 		}
-		rho := d.PathSel[beta][gamma]
 		bytes := s.exp.EdgeData(ei)
 		// e[β][γ][k][ρ] is zero at every router k off the path, and bytes
 		// is finite, so only the path's routers change.
-		for _, k := range s.Mesh.PathOf(beta, gamma, rho).Nodes {
-			m.CommEnergy[k] += bytes * s.Mesh.EnergyPerByte(beta, gamma, k, rho)
+		p := s.Mesh.PathOf(beta, gamma, d.PathSel[beta][gamma])
+		for i, k := range p.Nodes {
+			m.CommEnergy[k] += bytes * p.Energy[i]
 		}
 	}
 	minE, maxLoaded := math.Inf(1), 0.0

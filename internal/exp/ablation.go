@@ -149,7 +149,7 @@ func RunAblationWarmStart(cfg Config) (*Table, error) {
 			return r, err
 		}
 		for _, warm := range []bool{false, true} {
-			oo := core.OptimalOptions{TimeLimit: cfg.timeLimit(), MaxNodes: cfg.MaxNodes, RelGap: 0.02}
+			oo := core.OptimalOptions{TimeLimit: cfg.exactTimeLimit(), MaxNodes: cfg.MaxNodes, RelGap: 0.02}
 			if warm && hinfo.Feasible {
 				oo.WarmDeployment = hd
 			}

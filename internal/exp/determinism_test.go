@@ -3,10 +3,12 @@ package exp
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"regexp"
 	"testing"
 	"time"
 
+	"nocdeploy/internal/core"
 	"nocdeploy/internal/obs"
 )
 
@@ -207,5 +209,31 @@ func TestConfigValidate(t *testing.T) {
 	bad := Config{Seed: 1, Quick: true, Parallel: -4}
 	if _, err := RunFig2h(bad); err == nil {
 		t.Error("runner accepted a negative Parallel")
+	}
+}
+
+// TestNodeBudgetIgnoresClock: under a node budget an exact solve stops on
+// the budget alone, so its nodes, objective and deployment do not depend
+// on TimeLimit, however short.
+func TestNodeBudgetIgnoresClock(t *testing.T) {
+	s, err := Build(smallOptimal(5, 1.2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	solveWith := func(limit time.Duration) (*core.Deployment, *core.SolveInfo) {
+		d, info, err := solveOptimalWarm(s, core.Options{}, Config{MaxNodes: 3, TimeLimit: limit})
+		if err != nil {
+			t.Fatalf("TimeLimit %v: %v", limit, err)
+		}
+		return d, info
+	}
+	dh, ih := solveWith(time.Hour)
+	dn, in := solveWith(time.Nanosecond)
+	if ih.Nodes != in.Nodes || ih.Objective != in.Objective || !reflect.DeepEqual(dh, dn) {
+		t.Errorf("TimeLimit 1ns: nodes %d, objective %g; TimeLimit 1h: nodes %d, objective %g (deployments equal: %v)",
+			in.Nodes, in.Objective, ih.Nodes, ih.Objective, reflect.DeepEqual(dh, dn))
+	}
+	if ih.Nodes == 0 {
+		t.Errorf("the budgeted solve explored no nodes; the instance does not exercise the budget")
 	}
 }

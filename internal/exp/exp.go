@@ -34,12 +34,15 @@ type Config struct {
 	// Quick reduces repetitions and time limits so the full suite runs in
 	// benchmark time; the defaults reproduce the figures more faithfully.
 	Quick bool
-	// TimeLimit bounds each exact solve; 0 picks a mode-dependent default.
+	// TimeLimit bounds each exact solve when MaxNodes is 0; 0 picks a
+	// mode-dependent default. It also caps the portfolio runner's solves
+	// and sets Fig. 2(f)'s cap note and censoring, whatever MaxNodes is.
 	TimeLimit time.Duration
-	// MaxNodes bounds each exact solve by branch & bound node count;
-	// 0 keeps the solver default. Unlike TimeLimit, a node budget makes
-	// solver termination — and therefore every table cell except measured
-	// runtimes — deterministic, which is what the determinism tests use.
+	// MaxNodes, if positive, bounds each exact solve by branch & bound
+	// node count alone: the solves ignore TimeLimit, so solver termination
+	// — and therefore every table cell except measured runtimes — is
+	// deterministic, which is what the determinism tests use. 0 keeps the
+	// solver default node budget and stops on TimeLimit.
 	MaxNodes int
 	// Parallel is the number of instance evaluations each runner fans out
 	// concurrently: 0 means runtime.GOMAXPROCS(0), 1 is serial. Tables are
@@ -120,6 +123,15 @@ func (c Config) timeLimit() time.Duration {
 		return 5 * time.Second
 	}
 	return 45 * time.Second
+}
+
+// exactTimeLimit is the wall-clock budget of an exact solve: none under a
+// node budget, so the budget alone decides where the solve stops.
+func (c Config) exactTimeLimit() time.Duration {
+	if c.MaxNodes > 0 {
+		return 0
+	}
+	return c.timeLimit()
 }
 
 // Table is a printable experiment result.
@@ -270,7 +282,7 @@ func solveOptimalWarm(s *core.System, opts core.Options, cfg Config) (*core.Depl
 	return solve.Run(context.TODO(), s, solve.Optimal, solve.Options{
 		Core:      opts,
 		Seed:      1,
-		TimeLimit: cfg.timeLimit(),
+		TimeLimit: cfg.exactTimeLimit(),
 		MaxNodes:  cfg.MaxNodes,
 	})
 }

@@ -53,7 +53,7 @@ func RunOptimal4x4(cfg Config) (*Table, error) {
 			budget = 40
 		}
 		oo := core.OptimalOptions{
-			TimeLimit:      cfg.timeLimit(),
+			TimeLimit:      cfg.exactTimeLimit(),
 			MaxNodes:       budget,
 			RelGap:         relGap,
 			WarmDeployment: hd,

@@ -198,11 +198,7 @@ type Basis struct {
 
 // Options tunes the solver.
 type Options struct {
-	MaxIters   int     // total simplex iterations; 0 means a generous default
-	FeasTol    float64 // bound/feasibility tolerance; 0 means 1e-7
-	OptTol     float64 // reduced-cost tolerance; 0 means 1e-9
-	Refactor   int     // refactorization interval (pivots between refreshes); 0 means 32
-	BlandAfter int     // switch to Bland's rule after this many degenerate pivots; 0 means 64
+	MaxIters int // total simplex iterations; 0 means a generous default
 	// Trace, if non-nil, receives one obs.LPSolve event per Solve call
 	// (iteration counts and outcome). Observability only: the solver
 	// never reads it, so results are identical with tracing on or off.
@@ -233,18 +229,6 @@ type Options struct {
 func (o Options) withDefaults(m int) Options {
 	if o.MaxIters == 0 {
 		o.MaxIters = 20000 + 200*m
-	}
-	if numeric.IsZero(o.FeasTol) {
-		o.FeasTol = 1e-7
-	}
-	if numeric.IsZero(o.OptTol) {
-		o.OptTol = 1e-9
-	}
-	if o.Refactor == 0 {
-		o.Refactor = 32
-	}
-	if o.BlandAfter == 0 {
-		o.BlandAfter = 64
 	}
 	return o
 }

@@ -64,7 +64,27 @@ type simplex struct {
 	warm        bool // the current solve runs from Options.WarmBasis
 	sincePivot  int  // pivots since last refactorization
 	degenStreak int  // consecutive (near-)degenerate pivots, drives Bland switch
+	piv         pivoting
 }
+
+// Simplex tolerances: a basic variable within feasTol of its bounds is
+// feasible, and a column prices in only with a reduced cost past optTol.
+const (
+	feasTol = 1e-7
+	optTol  = 1e-9
+)
+
+// pivoting sets how often the simplex refreshes its basis factorization
+// (refactor: pivots between refreshes) and after how many consecutive
+// degenerate pivots it switches to Bland's rule (blandAfter).
+type pivoting struct{ refactor, blandAfter int }
+
+var (
+	defaultPivoting = pivoting{refactor: 32, blandAfter: 64}
+	// conservativePivoting is the retry after a singular basis: frequent
+	// refactorization and early Bland pivoting, slower but far more stable.
+	conservativePivoting = pivoting{refactor: 16, blandAfter: 8}
+)
 
 var simplexPool = sync.Pool{New: func() interface{} { return new(simplex) }}
 
@@ -88,15 +108,12 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 func solveDirect(p *Problem, opt Options) (*Solution, error) {
 	s := simplexPool.Get().(*simplex)
 	defer simplexPool.Put(s)
-	sol, err := solveOnce(p, opt, s)
+	sol, err := solveOnce(p, opt, defaultPivoting, s)
 	if err == errSingular {
-		// Numerical breakdown: retry with frequent refactorization and
-		// early Bland pivoting, which is slower but far more stable.
+		// Numerical breakdown: retry cold under conservative pivoting.
 		retry := opt
-		retry.Refactor = 16
-		retry.BlandAfter = 8
 		retry.WarmBasis = nil
-		sol, err = solveOnce(p, retry, s)
+		sol, err = solveOnce(p, retry, conservativePivoting, s)
 		if err == errSingular {
 			return nil, fmt.Errorf("lp: basis singular even under conservative pivoting")
 		}
@@ -123,7 +140,7 @@ func solveDirect(p *Problem, opt Options) (*Solution, error) {
 	return sol, err
 }
 
-func solveOnce(p *Problem, opt Options, s *simplex) (*Solution, error) {
+func solveOnce(p *Problem, opt Options, piv pivoting, s *simplex) (*Solution, error) {
 	m := len(p.Cons)
 	opt = opt.withDefaults(m)
 
@@ -154,7 +171,7 @@ func solveOnce(p *Problem, opt Options, s *simplex) (*Solution, error) {
 		return &Solution{Status: Optimal, X: x, Obj: p.Eval(x)}, nil
 	}
 
-	s.init(p, opt)
+	s.init(p, opt, piv)
 
 	// Warm path: install the caller's basis, restore primal feasibility
 	// with dual simplex pivots under the real cost, then let the shared
@@ -258,9 +275,9 @@ func solveOnce(p *Problem, opt Options, s *simplex) (*Solution, error) {
 
 // init lays out the CSC matrix (structural | slack | artificial columns),
 // bounds and the default nonbasic starting states, reusing pooled storage.
-func (s *simplex) init(p *Problem, opt Options) {
+func (s *simplex) init(p *Problem, opt Options, piv pivoting) {
 	n, m := p.NumCols, len(p.Cons)
-	s.opt = opt
+	s.opt, s.piv = opt, piv
 	s.n, s.m = n, m
 	s.iters, s.dualIters, s.refactors = 0, 0, 0
 	s.sincePivot, s.degenStreak = 0, 0
@@ -577,13 +594,13 @@ func (s *simplex) iterate() (Status, error) {
 			return IterLimit, nil
 		}
 		s.iters++
-		bland := s.degenStreak >= s.opt.BlandAfter
+		bland := s.degenStreak >= s.piv.blandAfter
 
 		s.multipliers()
 
 		// Pricing: find the entering column.
 		enter, dir := -1, 1.0
-		bestScore := s.opt.OptTol
+		bestScore := optTol
 		for j := 0; j < total; j++ {
 			st := s.state[j]
 			// Fixed columns compare their bounds exactly: bounds are set, not
@@ -596,11 +613,11 @@ func (s *simplex) iterate() (Status, error) {
 			var dj float64
 			switch st {
 			case atLower:
-				improving, dj = d < -s.opt.OptTol, 1
+				improving, dj = d < -optTol, 1
 			case atUpper:
-				improving, dj = d > s.opt.OptTol, -1
+				improving, dj = d > optTol, -1
 			case isFree:
-				improving = math.Abs(d) > s.opt.OptTol
+				improving = math.Abs(d) > optTol
 				if d > 0 {
 					dj = -1
 				} else {
@@ -725,7 +742,7 @@ func (s *simplex) iterate() (Status, error) {
 		s.xB[leave] = enterVal
 
 		s.sincePivot++
-		if s.sincePivot >= s.opt.Refactor {
+		if s.sincePivot >= s.piv.refactor {
 			if err := s.refactorizeTracked(); err != nil {
 				return Optimal, err
 			}
@@ -782,7 +799,7 @@ func (s *simplex) dualIterate() (Status, error) {
 		}
 
 		// Leaving choice: the most violated basic variable.
-		leave, viol := -1, s.opt.FeasTol
+		leave, viol := -1, feasTol
 		needUp := false
 		for i := 0; i < m; i++ {
 			bj := s.basis[i]
@@ -917,14 +934,14 @@ func (s *simplex) dualIterate() (Status, error) {
 
 		if math.Abs(delta) <= 1e-12 {
 			s.degenStreak++
-			if s.degenStreak > 4*s.opt.BlandAfter {
+			if s.degenStreak > 4*s.piv.blandAfter {
 				return dualStalled, nil
 			}
 		} else {
 			s.degenStreak = 0
 		}
 		s.sincePivot++
-		if s.sincePivot >= s.opt.Refactor {
+		if s.sincePivot >= s.piv.refactor {
 			if err := s.refactorizeTracked(); err != nil {
 				return Optimal, err
 			}

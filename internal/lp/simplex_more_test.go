@@ -178,12 +178,12 @@ func TestRandomVsBruteForce4(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults(100)
-	if o.MaxIters <= 0 || o.FeasTol <= 0 || o.OptTol <= 0 || o.Refactor <= 0 || o.BlandAfter <= 0 {
+	if o.MaxIters <= 0 {
 		t.Errorf("defaults not filled: %+v", o)
 	}
 	// Explicit values survive.
-	o = Options{MaxIters: 7, FeasTol: 1e-3}.withDefaults(10)
-	if o.MaxIters != 7 || o.FeasTol != 1e-3 {
+	o = Options{MaxIters: 7}.withDefaults(10)
+	if o.MaxIters != 7 {
 		t.Errorf("explicit options overridden: %+v", o)
 	}
 }

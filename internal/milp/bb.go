@@ -48,11 +48,14 @@ func (s Status) String() string {
 	return "unknown"
 }
 
+// intTol is the integrality tolerance: an integer variable within intTol
+// of an integer value counts as integral.
+const intTol = 1e-6
+
 // SolveOptions tunes branch & bound.
 type SolveOptions struct {
 	TimeLimit time.Duration // wall-clock budget; 0 means none
 	MaxNodes  int           // node budget; 0 means a generous default
-	IntTol    float64       // integrality tolerance; 0 means 1e-6
 	RelGap    float64       // stop when (incumbent−bound)/|incumbent| ≤ RelGap; 0 means prove optimality
 	Cutoff    float64       // prune nodes ≥ Cutoff (e.g. a heuristic objective); 0 disables unless CutoffSet
 	CutoffSet bool
@@ -102,9 +105,6 @@ func (o SolveOptions) now() time.Time {
 func (o SolveOptions) withDefaults() SolveOptions {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 200000
-	}
-	if numeric.IsZero(o.IntTol) {
-		o.IntTol = 1e-6
 	}
 	if o.Ctx == nil {
 		o.Ctx = context.Background()
@@ -333,12 +333,12 @@ func seedIncumbent(m *Model, base *lp.Problem, opts SolveOptions, res *Result) f
 		incumbent = opts.Cutoff
 	}
 	if opts.Incumbent != nil && len(opts.Incumbent) == base.NumCols {
-		if base.Feasible(opts.Incumbent, 1e-6) && integral(m, opts.Incumbent, opts.IntTol) {
+		if base.Feasible(opts.Incumbent, 1e-6) && integral(m, opts.Incumbent, intTol) {
 			obj := base.Eval(opts.Incumbent)
 			if obj < incumbent {
 				incumbent = obj
 				res.X = append([]float64(nil), opts.Incumbent...)
-				roundIntegers(m, res.X, opts.IntTol)
+				roundIntegers(m, res.X, intTol)
 				res.Obj = m.Eval(res.X)
 			}
 		}
@@ -506,7 +506,7 @@ func (s *search) plunge(w *worker, nd *node) error {
 			s.event(w, obs.Event{Kind: obs.BBPrune, Node: s.res.Nodes, Depth: nd.depth})
 			return nil // pruned by bound
 		}
-		j := s.m.fractionalVar(nd.sol.X, s.opts.IntTol)
+		j := s.m.fractionalVar(nd.sol.X, intTol)
 		if j < 0 {
 			s.accept(w, nd.sol)
 			return nil
@@ -599,7 +599,7 @@ func (s *search) accept(w *worker, sol *lp.Solution) {
 	res := s.res
 	s.incumbent = sol.Obj
 	res.X = append([]float64(nil), sol.X...)
-	roundIntegers(s.m, res.X, s.opts.IntTol)
+	roundIntegers(s.m, res.X, intTol)
 	res.Obj = s.m.Eval(res.X)
 	res.Incumbents = append(res.Incumbents, Incumbent{T: s.opts.now().Sub(s.start), Obj: res.Obj, Nodes: res.Nodes})
 	s.event(w, obs.Event{Kind: obs.BBIncumbent, Obj: res.Obj, Node: res.Nodes})

@@ -7,11 +7,14 @@
 //	ρ = 0: the energy-oriented path (Dijkstra shortest path on link energy)
 //	ρ = 1: the time-oriented path (Dijkstra shortest path on link latency)
 //
-// and derives the paper's two matrices:
+// Each path is stored once, in one [β][γ][ρ] table, and carries the paper's
+// two communication costs itself:
 //
 //	t[β][γ][ρ]    — seconds to move one byte from β to γ over path ρ
 //	e[β][γ][k][ρ] — joules consumed at processor/router k per byte when
-//	                data moves from β to γ over path ρ
+//	                data moves from β to γ over path ρ; zero at every k
+//	                off the path, so the path keeps one value per router
+//	                it visits
 //
 // Hop energy is attributed to the router that forwards the flit (source
 // router included, destination router included for ejection), matching the
@@ -53,9 +56,15 @@ type link struct {
 }
 
 // Path is a concrete route through the mesh, listed as the sequence of
-// routers it visits, source and destination included.
+// routers it visits, source and destination included, with the cost of
+// moving one byte along it.
 type Path struct {
 	Nodes []int
+	// Energy[i] is e[β][γ][Nodes[i]][ρ], the joules per byte charged at
+	// router Nodes[i]; the destination's entry includes ejection.
+	Energy []float64
+	// Time is t[β][γ][ρ], the seconds per byte along the path.
+	Time float64
 }
 
 // Hops returns the number of links traversed.
@@ -78,27 +87,10 @@ const PathTime = 1
 
 // Mesh is a W×H 2D-mesh NoC with heterogeneous per-link costs.
 type Mesh struct {
-	W, H   int
-	policy PathPolicy
-	adj    [][]link // adjacency list per router
-
-	paths  [][][NumPaths]Path        // paths[β][γ][ρ]
-	timeM  [][][NumPaths]float64     // t[β][γ][ρ], seconds per byte
-	energy [][][]([NumPaths]float64) // e[β][γ][k][ρ], joules per byte at node k
+	W, H  int
+	adj   [][]link           // adjacency list per router
+	paths [][][NumPaths]Path // paths[β][γ][ρ]
 }
-
-// PathPolicy selects how the two candidate paths per pair are derived.
-type PathPolicy int
-
-// Path policies.
-const (
-	// PolicyDijkstra derives candidate 0 as the minimum-energy path and
-	// candidate 1 as the minimum-latency path (the paper's default).
-	PolicyDijkstra PathPolicy = iota
-	// PolicyXYYX derives candidate 0 as the dimension-ordered XY route and
-	// candidate 1 as the YX route — the classic deadlock-free mesh pair.
-	PolicyXYYX
-)
 
 // Config controls mesh construction.
 type Config struct {
@@ -110,11 +102,10 @@ type Config struct {
 	// perturbation reproducible.
 	Jitter float64
 	Seed   int64
-	Policy PathPolicy
 }
 
-// NewMesh builds the mesh and precomputes all candidate paths and the
-// energy/time matrices.
+// NewMesh builds the mesh and precomputes all candidate paths with their
+// energy and time.
 func NewMesh(cfg Config) (*Mesh, error) {
 	if cfg.W <= 0 || cfg.H <= 0 {
 		return nil, fmt.Errorf("noc: mesh dimensions %dx%d must be positive", cfg.W, cfg.H)
@@ -125,7 +116,7 @@ func NewMesh(cfg Config) (*Mesh, error) {
 	if cfg.Jitter < 0 || cfg.Jitter >= 1 {
 		return nil, fmt.Errorf("noc: jitter %g must be in [0, 1)", cfg.Jitter)
 	}
-	m := &Mesh{W: cfg.W, H: cfg.H, policy: cfg.Policy}
+	m := &Mesh{W: cfg.W, H: cfg.H}
 	n := cfg.W * cfg.H
 	m.adj = make([][]link, n)
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -229,20 +220,18 @@ func (m *Mesh) dijkstra(src int, weight func(LinkParams) float64) []int {
 	return prev
 }
 
-// extractPath rebuilds the path src→dst from a predecessor array.
-func extractPath(prev []int, src, dst int) Path {
-	var rev []int
-	for v := dst; v != -1; v = prev[v] {
-		rev = append(rev, v)
-		if v == src {
-			break
-		}
+// extractPath rebuilds the routers of the path src→dst from a predecessor
+// array.
+func extractPath(prev []int, src, dst int) []int {
+	hops := 0
+	for v := dst; v != src; v = prev[v] {
+		hops++
 	}
-	nodes := make([]int, len(rev))
-	for i, v := range rev {
-		nodes[len(rev)-1-i] = v
+	nodes := make([]int, hops+1)
+	for v, i := dst, hops; i >= 0; v, i = prev[v], i-1 {
+		nodes[i] = v
 	}
-	return Path{Nodes: nodes}
+	return nodes
 }
 
 // linkBetween returns the directed link a→b, or an error if the mesh has
@@ -256,63 +245,53 @@ func (m *Mesh) linkBetween(a, b int) (LinkParams, error) {
 	return LinkParams{}, fmt.Errorf("noc: no link %d→%d", a, b)
 }
 
-// computePaths fills the path, time and energy matrices.
+// computePaths fills the path table.
 func (m *Mesh) computePaths() error {
 	n := m.N()
+	eject := m.ejectEnergyPerByte()
 	m.paths = make([][][NumPaths]Path, n)
-	m.timeM = make([][][NumPaths]float64, n)
-	m.energy = make([][][]([NumPaths]float64), n)
 	for src := 0; src < n; src++ {
 		m.paths[src] = make([][NumPaths]Path, n)
-		m.timeM[src] = make([][NumPaths]float64, n)
-		m.energy[src] = make([][]([NumPaths]float64), n)
-		var prevE, prevT []int
-		if m.policy == PolicyDijkstra {
-			prevE = m.dijkstra(src, func(l LinkParams) float64 { return l.EnergyPerByte + l.RouterEnergy })
-			prevT = m.dijkstra(src, timeWeight)
+		prev := [NumPaths][]int{
+			PathEnergy: m.dijkstra(src, func(l LinkParams) float64 { return l.EnergyPerByte + l.RouterEnergy }),
+			PathTime:   m.dijkstra(src, timeWeight),
 		}
 		for dst := 0; dst < n; dst++ {
-			m.energy[src][dst] = make([]([NumPaths]float64), n)
-			if dst == src {
-				// Same-processor communication is free (paper, Sec. II-A2).
-				m.paths[src][dst][PathEnergy] = Path{Nodes: []int{src}}
-				m.paths[src][dst][PathTime] = Path{Nodes: []int{src}}
-				continue
-			}
-			var pe, pt Path
-			if m.policy == PolicyXYYX {
-				pe = m.dimensionOrdered(src, dst, true)
-				pt = m.dimensionOrdered(src, dst, false)
-			} else {
-				pe = extractPath(prevE, src, dst)
-				pt = extractPath(prevT, src, dst)
-			}
-			m.paths[src][dst][PathEnergy] = pe
-			m.paths[src][dst][PathTime] = pt
-			for rho, p := range [NumPaths]Path{pe, pt} {
-				t, err := m.pathTimePerByte(p)
+			for rho := range prev {
+				if dst == src {
+					// Same-processor communication is free (paper, Sec. II-A2).
+					m.paths[src][dst][rho] = Path{Nodes: []int{src}, Energy: []float64{0}}
+					continue
+				}
+				p, err := m.costPath(extractPath(prev[rho], src, dst), eject)
 				if err != nil {
 					return err
 				}
-				m.timeM[src][dst][rho] = t
-				for i := 0; i+1 < len(p.Nodes); i++ {
-					a, b := p.Nodes[i], p.Nodes[i+1]
-					lp, err := m.linkBetween(a, b)
-					if err != nil {
-						return err
-					}
-					// Wire energy split evenly between the two endpoints;
-					// router traversal energy charged to the forwarding node.
-					m.energy[src][dst][a][rho] += lp.RouterEnergy + lp.EnergyPerByte/2
-					m.energy[src][dst][b][rho] += lp.EnergyPerByte / 2
-				}
-				// Ejection at the destination router.
-				last := p.Nodes[len(p.Nodes)-1]
-				m.energy[src][dst][last][rho] += m.ejectEnergyPerByte()
+				m.paths[src][dst][rho] = p
 			}
 		}
 	}
 	return nil
+}
+
+// costPath charges the per-byte energy of each router on nodes and sums
+// the per-byte time, hop by hop.
+func (m *Mesh) costPath(nodes []int, eject float64) (Path, error) {
+	p := Path{Nodes: nodes, Energy: make([]float64, len(nodes))}
+	for i := 0; i+1 < len(nodes); i++ {
+		lp, err := m.linkBetween(nodes[i], nodes[i+1])
+		if err != nil {
+			return Path{}, err
+		}
+		p.Time += timeWeight(lp)
+		// Wire energy split evenly between the two endpoints; router
+		// traversal energy charged to the forwarding node.
+		p.Energy[i] += lp.RouterEnergy + lp.EnergyPerByte/2
+		p.Energy[i+1] += lp.EnergyPerByte / 2
+	}
+	// Ejection at the destination router.
+	p.Energy[len(nodes)-1] += eject
+	return p, nil
 }
 
 // ejectEnergyPerByte is the cost of moving a byte from the destination
@@ -341,54 +320,6 @@ func timeWeight(l LinkParams) float64 {
 	return l.LatencyPerByte + l.HopLatency/nominalPacket
 }
 
-// pathTimePerByte returns the per-byte latency along p under timeWeight.
-func (m *Mesh) pathTimePerByte(p Path) (float64, error) {
-	var t float64
-	for i := 0; i+1 < len(p.Nodes); i++ {
-		lp, err := m.linkBetween(p.Nodes[i], p.Nodes[i+1])
-		if err != nil {
-			return 0, err
-		}
-		t += timeWeight(lp)
-	}
-	return t, nil
-}
-
-// dimensionOrdered returns the XY (xFirst) or YX route from src to dst.
-func (m *Mesh) dimensionOrdered(src, dst int, xFirst bool) Path {
-	x, y := m.Coord(src)
-	dx, dy := m.Coord(dst)
-	nodes := []int{src}
-	stepX := func() {
-		for x != dx {
-			if x < dx {
-				x++
-			} else {
-				x--
-			}
-			nodes = append(nodes, m.ID(x, y))
-		}
-	}
-	stepY := func() {
-		for y != dy {
-			if y < dy {
-				y++
-			} else {
-				y--
-			}
-			nodes = append(nodes, m.ID(x, y))
-		}
-	}
-	if xFirst {
-		stepX()
-		stepY()
-	} else {
-		stepY()
-		stepX()
-	}
-	return Path{Nodes: nodes}
-}
-
 // LinkLatencyPerByte returns the serialization latency of the directed
 // link a→b in seconds per byte, and false if the link does not exist.
 func (m *Mesh) LinkLatencyPerByte(a, b int) (float64, bool) {
@@ -400,47 +331,58 @@ func (m *Mesh) LinkLatencyPerByte(a, b int) (float64, bool) {
 	return 0, false
 }
 
-// PathOf returns the ρ-th candidate path from β to γ.
+// PathOf returns the ρ-th candidate path from β to γ. Its slices belong to
+// the mesh: callers must not modify them.
 func (m *Mesh) PathOf(beta, gamma, rho int) Path { return m.paths[beta][gamma][rho] }
 
 // TimePerByte returns t[β][γ][ρ]: seconds to move one byte from β to γ over
 // candidate path ρ. Zero when β == γ.
 func (m *Mesh) TimePerByte(beta, gamma, rho int) float64 {
-	return m.timeM[beta][gamma][rho]
+	return m.paths[beta][gamma][rho].Time
 }
 
 // EnergyPerByte returns e[β][γ][k][ρ]: joules consumed at node k per byte
 // moved from β to γ over candidate path ρ. Zero when β == γ or when k is
 // not on the path.
 func (m *Mesh) EnergyPerByte(beta, gamma, k, rho int) float64 {
-	return m.energy[beta][gamma][k][rho]
+	p := &m.paths[beta][gamma][rho]
+	for i, v := range p.Nodes {
+		if v == k {
+			return p.Energy[i]
+		}
+	}
+	return 0
 }
 
-// TotalEnergyPerByte returns Σ_k e[β][γ][k][ρ], the full path cost per byte.
+// TotalEnergyPerByte returns Σ_k e[β][γ][k][ρ], the full path cost per byte,
+// summed in router order.
 func (m *Mesh) TotalEnergyPerByte(beta, gamma, rho int) float64 {
 	var s float64
 	for k := 0; k < m.N(); k++ {
-		s += m.energy[beta][gamma][k][rho]
+		s += m.EnergyPerByte(beta, gamma, k, rho)
 	}
 	return s
 }
 
 // TimeBounds returns min and max of t[β][γ][ρ] over all β ≠ γ and ρ; the
-// paper's average-communication-time estimate uses these.
+// paper's average-communication-time estimate uses these. A one-router mesh
+// carries no traffic, so its bounds are (0, 0).
 func (m *Mesh) TimeBounds() (lo, hi float64) {
+	if m.N() == 1 {
+		return 0, 0
+	}
 	lo, hi = math.Inf(1), 0
-	for b := 0; b < m.N(); b++ {
-		for g := 0; g < m.N(); g++ {
+	for b, row := range m.paths {
+		for g, cands := range row {
 			if b == g {
 				continue
 			}
-			for rho := 0; rho < NumPaths; rho++ {
-				t := m.timeM[b][g][rho]
-				if t < lo {
-					lo = t
+			for _, p := range cands {
+				if p.Time < lo {
+					lo = p.Time
 				}
-				if t > hi {
-					hi = t
+				if p.Time > hi {
+					hi = p.Time
 				}
 			}
 		}
@@ -458,10 +400,10 @@ func (m *Mesh) EnergyBoundsAt(k int) (lo, hi float64) {
 			if b == g {
 				continue
 			}
-			if e := m.energy[b][g][k][PathEnergy]; e > hi {
+			if e := m.EnergyPerByte(b, g, k, PathEnergy); e > hi {
 				hi = e
 			}
-			if e := m.energy[b][g][k][PathTime]; e > 0 && e < lo {
+			if e := m.EnergyPerByte(b, g, k, PathTime); e > 0 && e < lo {
 				lo = e
 			}
 		}
@@ -476,11 +418,11 @@ func (m *Mesh) EnergyBoundsAt(k int) (lo, hi float64) {
 // e_k^comm parameter used to define the μ index.
 func (m *Mesh) MaxEnergyPerByte() float64 {
 	var hi float64
-	for b := 0; b < m.N(); b++ {
-		for g := 0; g < m.N(); g++ {
-			for k := 0; k < m.N(); k++ {
-				for rho := 0; rho < NumPaths; rho++ {
-					if e := m.energy[b][g][k][rho]; e > hi {
+	for _, row := range m.paths {
+		for _, cands := range row {
+			for _, p := range cands {
+				for _, e := range p.Energy {
+					if e > hi {
 						hi = e
 					}
 				}
@@ -493,11 +435,11 @@ func (m *Mesh) MaxEnergyPerByte() float64 {
 // ScaleEnergy multiplies every communication energy entry by factor; the
 // Fig. 2(b) sweep uses this to vary the μ index without rebuilding paths.
 func (m *Mesh) ScaleEnergy(factor float64) {
-	for b := range m.energy {
-		for g := range m.energy[b] {
-			for k := range m.energy[b][g] {
-				for rho := 0; rho < NumPaths; rho++ {
-					m.energy[b][g][k][rho] *= factor
+	for _, row := range m.paths {
+		for _, cands := range row {
+			for _, p := range cands {
+				for i := range p.Energy {
+					p.Energy[i] *= factor
 				}
 			}
 		}

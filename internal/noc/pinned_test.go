@@ -1,0 +1,86 @@
+package noc
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"testing"
+)
+
+// TestMeshPinned pins the bits of every public Mesh query: a rewrite of the
+// route storage must reproduce them exactly, because the solvers' tie-breaks
+// and the figure tables depend on them.
+func TestMeshPinned(t *testing.T) {
+	want := map[string]string{
+		"2x2/seed1":        "598ade0883d7f0fa",
+		"2x2/seed1/scaled": "222960de536c959b",
+		"2x2/seed2":        "d04e4dc86ef8ef41",
+		"2x2/seed2/scaled": "6821939a4523e343",
+		"3x5/seed1":        "8f52a6727cc2e567",
+		"3x5/seed1/scaled": "90f014a2edfcb570",
+		"3x5/seed2":        "60416a93f531ccdb",
+		"3x5/seed2/scaled": "0ae0c889ba6a6bd2",
+		"4x4/seed1":        "f790cf366abd089e",
+		"4x4/seed1/scaled": "08dd59213ba35a0c",
+		"4x4/seed2":        "6736863f254fd63a",
+		"4x4/seed2/scaled": "8ac9ecd122b1695b",
+	}
+	for _, dims := range [][2]int{{2, 2}, {3, 5}, {4, 4}} {
+		for _, seed := range []int64{1, 2} {
+			m, err := NewMesh(Config{W: dims[0], H: dims[1], Link: DefaultLinkParams(), Jitter: 0.25, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%dx%d/seed%d", dims[0], dims[1], seed)
+			for _, scaled := range []bool{false, true} {
+				key := name
+				if scaled {
+					m.ScaleEnergy(3.5)
+					key += "/scaled"
+				}
+				if got := meshDigest(m); got != want[key] {
+					t.Errorf("%s: digest %s, want %s", key, got, want[key])
+				}
+			}
+		}
+	}
+}
+
+// meshDigest is the FNV-1a hash of the bits of every public query on m.
+func meshDigest(m *Mesh) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	putF := func(f float64) { put(math.Float64bits(f)) }
+	n := m.N()
+	for b := 0; b < n; b++ {
+		for g := 0; g < n; g++ {
+			for rho := 0; rho < NumPaths; rho++ {
+				nodes := m.PathOf(b, g, rho).Nodes
+				put(uint64(len(nodes)))
+				for _, v := range nodes {
+					put(uint64(v))
+				}
+				putF(m.TimePerByte(b, g, rho))
+				for k := 0; k < n; k++ {
+					putF(m.EnergyPerByte(b, g, k, rho))
+				}
+				putF(m.TotalEnergyPerByte(b, g, rho))
+			}
+		}
+	}
+	for k := 0; k < n; k++ {
+		lo, hi := m.EnergyBoundsAt(k)
+		putF(lo)
+		putF(hi)
+	}
+	putF(m.MaxEnergyPerByte())
+	lo, hi := m.TimeBounds()
+	putF(lo)
+	putF(hi)
+	return fmt.Sprintf("%016x", h.Sum64())
+}

@@ -4,7 +4,7 @@
 // in arrival order (FIFO, infinite buffers — a virtual-cut-through
 // approximation of wormhole switching without credit backpressure).
 //
-// Its role in the reproduction is validation: the analytic time matrix
+// Its role in the reproduction is validation: the analytic path time
 // t[β][γ][ρ] used by the deployment formulation is store-and-forward
 // conservative (per-hop serialization), so the pipelined latencies observed
 // here must never exceed it for the same route. Tests assert exactly that.

@@ -77,11 +77,12 @@ type Instance struct {
 }
 
 // MaxMeshSide bounds each side of an instance's mesh. Building a mesh
-// precomputes candidate paths for every core pair, so its cost climbs
-// much faster than W×H: on a 2-vCPU, 8 GB VM a 12×12 mesh builds in
-// 0.08 s and 61 MB, and a 16×16 one in 0.5 s and 322 MB; a 32×32 mesh
-// exhausts the machine's memory. Without the bound, a request body of a
-// hundred bytes could take down the deployment service.
+// runs two Dijkstra searches per core and stores two candidate paths,
+// router by router, for every core pair, so its cost climbs much faster
+// than W×H: on a 2-vCPU VM a 12×12 mesh builds in 0.03 s and 9.4 MB, and
+// a 16×16 one in 0.12 s and 36 MB (TestMaxMeshSideAllocation holds it
+// under 100 MB). Without the bound, a request body of a hundred bytes
+// could take down the deployment service.
 const MaxMeshSide = 16
 
 // Build materializes the instance into a solvable system.

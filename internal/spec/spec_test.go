@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -82,6 +83,59 @@ func TestInstanceBuildRejectsOversizedMesh(t *testing.T) {
 	in.Mesh.W, in.Mesh.H = MaxMeshSide, 1
 	if _, err := in.Build(); err != nil {
 		t.Errorf("mesh %dx1 rejected: %v", MaxMeshSide, err)
+	}
+}
+
+// TestMaxMeshSideAllocation holds the memory bound MaxMeshSide exists
+// for: a request for the largest mesh allowed builds its instance in
+// under 100 MB.
+func TestMaxMeshSideAllocation(t *testing.T) {
+	in := sampleInstance()
+	in.Mesh.W, in.Mesh.H = MaxMeshSide, MaxMeshSide
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := in.Build(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 100 {
+		t.Errorf("%dx%d instance allocated %.0f MB, want under 100 MB", MaxMeshSide, MaxMeshSide, mb)
+	}
+}
+
+// TestHorizonOneRouterMesh: a one-router mesh carries no traffic, so the
+// horizon rule charges no communication time, whatever an edge's payload:
+// H = α·(sum of the chain's execution-time midpoints).
+func TestHorizonOneRouterMesh(t *testing.T) {
+	const alpha = 1.5
+	for _, bytes := range []float64{1024, 0} {
+		in := sampleInstance()
+		in.Mesh.W, in.Mesh.H = 1, 1
+		in.Graph.Edges[0].Bytes = bytes
+		in.Alpha = alpha
+		s, err := in.Build()
+		if err != nil {
+			t.Fatalf("%g bytes: %v", bytes, err)
+		}
+		var want float64
+		for _, tk := range in.Graph.Tasks {
+			lo, hi := math.Inf(1), 0.0
+			for l := 0; l < s.Plat.L(); l++ {
+				lo = math.Min(lo, s.Plat.ExecTime(tk.WCEC, l))
+				hi = math.Max(hi, s.Plat.ExecTime(tk.WCEC, l))
+			}
+			want += (lo + hi) / 2
+		}
+		want *= alpha
+		h, err := core.Horizon(s.Plat, s.Mesh, s.Graph, s.Rel, alpha)
+		if err != nil {
+			t.Fatalf("%g bytes: %v", bytes, err)
+		}
+		for name, got := range map[string]float64{"core.Horizon": h, "Instance.Build": s.H} {
+			if math.Abs(got-want) > 1e-12*want {
+				t.Errorf("%g bytes: %s horizon %g, want %g", bytes, name, got, want)
+			}
+		}
 	}
 }
 
