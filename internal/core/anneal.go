@@ -46,9 +46,11 @@ type annealEval struct {
 // starting from the repaired three-phase heuristic. Horizon-infeasible
 // states pay a large makespan-driven penalty, so a chain that starts
 // infeasible first anneals toward schedulability, then optimizes the
-// objective. The context is checked every few iterations of the Metropolis
-// loop; a cancelled run returns the best feasible deployment found so far
-// with SolveInfo.Cancelled set (see Anneal for the context-free wrapper).
+// objective. Each move is applied to the current deployment in place and
+// undone if rejected. The context is checked every few iterations of the
+// Metropolis loop; a cancelled run returns the best feasible deployment
+// found so far with SolveInfo.Cancelled set (see Anneal for the
+// context-free wrapper).
 func AnnealCtx(ctx context.Context, s *System, opts Options, ao AnnealOptions) (*Deployment, *SolveInfo, error) {
 	startT := opts.now()
 	tr := opts.Trace
@@ -70,12 +72,13 @@ func AnnealCtx(ctx context.Context, s *System, opts Options, ao AnnealOptions) (
 	relaxed := *s
 	relaxed.H = math.Inf(1)
 
-	evaluate := func(d *Deployment) annealEval {
-		mk := Reschedule(s, d, ScheduleOrder(s, d))
-		if CheckConstraints(&relaxed, d) != nil {
+	var w workspace
+	evaluate := func(d *Deployment, order []int) annealEval {
+		mk := w.reschedule(s, d, order)
+		if w.check(&relaxed, d) != nil {
 			return annealEval{}
 		}
-		m, err := ComputeMetrics(s, d)
+		m, err := w.metrics(s, d)
 		if err != nil {
 			return annealEval{}
 		}
@@ -87,7 +90,8 @@ func AnnealCtx(ctx context.Context, s *System, opts Options, ao AnnealOptions) (
 		}
 	}
 
-	curEval := evaluate(cur)
+	order := ScheduleOrder(s, cur)
+	curEval := evaluate(cur, order)
 	best := cur.Clone()
 	bestEval := curEval
 	scale := math.Max(curEval.obj, 1e-12)
@@ -110,33 +114,35 @@ func AnnealCtx(ctx context.Context, s *System, opts Options, ao AnnealOptions) (
 	L := s.Plat.L()
 	M := s.Graph.M()
 
-	// propose mutates a clone of cur with one random move; nil means the
-	// move was structurally inadmissible and costs nothing.
-	propose := func() *Deployment {
-		d := cur.Clone()
+	// propose applies one random move to cur in place, logging its writes
+	// in undo; false means the move was structurally inadmissible, and
+	// the caller rolls back whatever it wrote.
+	var undo moveLog
+	propose := func() bool {
+		d := cur
 		switch rng.Intn(4) {
 		case 0: // reassign a random existing slot
 			slot := randomExisting(rng, d)
-			d.Proc[slot] = rng.Intn(s.Mesh.N())
+			undo.setInt(&d.Proc[slot], rng.Intn(s.Mesh.N()))
 		case 1: // flip a random pair's path selection
 			b := rng.Intn(s.Mesh.N())
 			g := rng.Intn(s.Mesh.N())
 			if b == g {
-				return nil
+				return false
 			}
-			d.PathSel[b][g] = 1 - d.PathSel[b][g]
+			undo.setInt(&d.PathSel[b][g], 1-d.PathSel[b][g])
 		case 2: // move a random original's level and re-apply rule (4)
 			i := rng.Intn(M)
 			l := d.Level[i] + 1 - 2*rng.Intn(2)
 			if l < 0 || l >= L || s.ExecTime(i, l) > s.exp.Deadline(i) {
-				return nil
+				return false
 			}
-			d.Level[i] = l
+			undo.setInt(&d.Level[i], l)
 			ri := s.Reliability(i, l)
 			dup := i + M
 			if ri >= s.Rel.Rth {
-				d.Exists[dup] = false
-				return d
+				undo.setExists(&d.Exists[dup], false)
+				return true
 			}
 			// Needs a replica: cheapest level satisfying (5) and (8).
 			found, bestE := -1, math.Inf(1)
@@ -152,13 +158,13 @@ func AnnealCtx(ctx context.Context, s *System, opts Options, ao AnnealOptions) (
 				}
 			}
 			if found < 0 {
-				return nil
+				return false
 			}
 			if !d.Exists[dup] {
-				d.Exists[dup] = true
-				d.Proc[dup] = rng.Intn(s.Mesh.N())
+				undo.setExists(&d.Exists[dup], true)
+				undo.setInt(&d.Proc[dup], rng.Intn(s.Mesh.N()))
 			}
-			d.Level[dup] = found
+			undo.setInt(&d.Level[dup], found)
 		default: // move an existing replica's level under (5) and (8)
 			dup := -1
 			for attempt := 0; attempt < 4; attempt++ {
@@ -168,19 +174,25 @@ func AnnealCtx(ctx context.Context, s *System, opts Options, ao AnnealOptions) (
 				}
 			}
 			if dup < 0 {
-				return nil
+				return false
 			}
 			l2 := d.Level[dup] + 1 - 2*rng.Intn(2)
 			if l2 < 0 || l2 >= L || s.ExecTime(dup, l2) > s.exp.Deadline(dup) {
-				return nil
+				return false
 			}
 			orig := s.exp.Orig(dup)
 			if reliability.Combined(s.Reliability(orig, d.Level[orig]), s.Reliability(dup, l2)) < s.Rel.Rth {
-				return nil
+				return false
 			}
-			d.Level[dup] = l2
+			undo.setInt(&d.Level[dup], l2)
 		}
-		return d
+		return true
+	}
+	// reject takes back the evaluated move: its start times, then its
+	// writes.
+	reject := func() {
+		w.unstageStart(cur)
+		undo.revert()
 	}
 
 	cancelled := false
@@ -194,36 +206,47 @@ func AnnealCtx(ctx context.Context, s *System, opts Options, ao AnnealOptions) (
 			break
 		}
 		temp *= cool
-		cand := propose()
-		if cand == nil {
+		if !propose() {
+			undo.revert()
 			continue
 		}
-		ce := evaluate(cand)
+		// The schedule order depends on Exists alone.
+		candOrder := order
+		if undo.changedExists() {
+			candOrder = ScheduleOrder(s, cur)
+		}
+		w.stageStart(cur)
+		ce := evaluate(cur, candOrder)
 		if !ce.okStruct {
+			reject()
 			continue
 		}
 		dE := scalarEnergy(ce) - scalarEnergy(curEval)
 		if dE <= 0 || rng.Float64() < math.Exp(-dE/math.Max(temp, 1e-12)) {
-			cur, curEval = cand, ce
+			order, curEval = candOrder, ce
+			undo.reset()
 			if ce.okFull && (!bestEval.okFull || ce.obj < bestEval.obj) {
-				best = cand.Clone()
+				best.copyFrom(cur)
 				bestEval = ce
 			}
 			if tr.Enabled() {
 				tr.Emit(obs.Event{Kind: obs.AnnealAccept, Node: it, Obj: ce.obj})
 			}
-		} else if tr.Enabled() {
-			tr.Emit(obs.Event{Kind: obs.AnnealReject, Node: it})
+		} else {
+			reject()
+			if tr.Enabled() {
+				tr.Emit(obs.Event{Kind: obs.AnnealReject, Node: it})
+			}
 		}
 	}
 
-	m, err := ComputeMetrics(s, best)
+	m, err := w.metrics(s, best)
 	if err != nil {
 		return nil, nil, err
 	}
 	info := &SolveInfo{
 		Runtime:   opts.now().Sub(startT),
-		Feasible:  bestEval.okFull && CheckConstraints(s, best) == nil,
+		Feasible:  bestEval.okFull && w.check(s, best) == nil,
 		Objective: m.Objective(opts.Objective),
 		Cancelled: cancelled,
 	}
@@ -236,6 +259,52 @@ func AnnealCtx(ctx context.Context, s *System, opts Options, ao AnnealOptions) (
 	}
 	return best, info, nil
 }
+
+// moveLog records the writes of one anneal move — at most three int
+// entries (Level, Proc, PathSel) and one Exists entry — so a rejected
+// move can be undone.
+type moveLog struct {
+	ints   [3]intWrite
+	n      int
+	exists *bool // the Exists entry written, nil if none
+	was    bool  // its value before the move
+}
+
+// intWrite is one logged int write: where, and the value it replaced.
+type intWrite struct {
+	p   *int
+	old int
+}
+
+// setInt writes v to *p and logs the write.
+func (l *moveLog) setInt(p *int, v int) {
+	l.ints[l.n] = intWrite{p, *p}
+	l.n++
+	*p = v
+}
+
+// setExists writes v to the Exists entry *p and logs the write.
+func (l *moveLog) setExists(p *bool, v bool) {
+	l.exists, l.was = p, *p
+	*p = v
+}
+
+// changedExists reports whether the move changed an Exists entry.
+func (l *moveLog) changedExists() bool { return l.exists != nil && *l.exists != l.was }
+
+// revert undoes the logged writes, newest first, and empties the log.
+func (l *moveLog) revert() {
+	for i := l.n - 1; i >= 0; i-- {
+		*l.ints[i].p = l.ints[i].old
+	}
+	if l.exists != nil {
+		*l.exists = l.was
+	}
+	l.reset()
+}
+
+// reset empties the log, keeping the writes.
+func (l *moveLog) reset() { *l = moveLog{} }
 
 // randomExisting rejection-samples an index of a deployed task. Anneal
 // moves keep at least one task deployed, so each draw hits with p ≥ 1/len.

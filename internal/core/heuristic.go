@@ -139,8 +139,9 @@ func deployGivenLevels(ctx context.Context, s *System, d *Deployment, seed int64
 	if tr.Enabled() {
 		tr.Emit(obs.Event{Kind: obs.HeurPhaseStart, Phase: "P2"})
 	}
+	var w workspace
 	p2Start := opts.now()
-	order := phase2Allocation(s, d, seed, opts)
+	order := phase2Allocation(&w, s, d, seed, opts)
 	t2 = opts.now().Sub(p2Start)
 	if tr.Enabled() {
 		tr.Emit(obs.Event{Kind: obs.HeurPhaseEnd, Phase: "P2", Dur: t2.Seconds()})
@@ -150,7 +151,7 @@ func deployGivenLevels(ctx context.Context, s *System, d *Deployment, seed int64
 		return false, t2, 0, nil
 	}
 	p3Start := opts.now()
-	ok, err = phase3PathSelection(s, d, order, opts)
+	ok, err = phase3PathSelection(&w, s, d, order, opts)
 	t3 = opts.now().Sub(p3Start)
 	if tr.Enabled() {
 		tr.Emit(obs.Event{Kind: obs.HeurPhaseEnd, Phase: "P3", Dur: t3.Seconds()})
@@ -291,7 +292,7 @@ func jointLevels(s *System, i int, runningMax float64) (orig, copyLevel int) {
 // total energy for ME — with communication costs estimated by the ρ-average
 // over the real candidate paths. It returns the slot order used, which is a
 // topological order of the existing subgraph.
-func phase2Allocation(s *System, d *Deployment, seed int64, opts Options) []int {
+func phase2Allocation(w *workspace, s *System, d *Deployment, seed int64, opts Options) []int {
 	rng := rand.New(rand.NewSource(seed))
 	order, start := s.exp.ExistingLayers(d.Exists)
 	for l := 0; l+1 < len(start); l++ {
@@ -411,7 +412,7 @@ func phase2Allocation(s *System, d *Deployment, seed int64, opts Options) []int 
 	}
 
 	// Initial schedule (t^s, and implicitly u) with ρ-averaged comm times.
-	scheduleExisting(s, d, order, func(i int) float64 {
+	w.schedule(s, d, order, func(i int) float64 {
 		return avgCommTime(s, d, i)
 	})
 	return order
@@ -470,13 +471,14 @@ func addAvgCommEnergy(s *System, into []float64, beta, gamma int, bytes float64)
 	}
 }
 
-// scheduleExisting list-schedules existing slots in the given topological
-// order on their assigned processors: a slot starts when its processor is
-// free and every predecessor has finished and its input data has arrived
+// schedule list-schedules existing slots in the given topological order
+// on their assigned processors: a slot starts when its processor is free
+// and every predecessor has finished and its input data has arrived
 // (constraints (6) and (7)). It returns the makespan.
-func scheduleExisting(s *System, d *Deployment, order []int, commTime func(i int) float64) float64 {
+func (w *workspace) schedule(s *System, d *Deployment, order []int, commTime func(i int) float64) float64 {
 	edges := s.exp.DepEdges()
-	procFree := make([]float64, s.Mesh.N())
+	w.procFree = zeroed(w.procFree, s.Mesh.N())
+	procFree := w.procFree
 	var makespan float64
 	for _, i := range order {
 		ready := 0.0
@@ -517,7 +519,12 @@ func ScheduleOrder(s *System, d *Deployment) []int {
 // writes their start times and returns the makespan. It restores a
 // consistent schedule after a move changes Proc, Level or PathSel.
 func Reschedule(s *System, d *Deployment, order []int) float64 {
-	return scheduleExisting(s, d, order, func(i int) float64 { return d.CommTime(s, i) })
+	return new(workspace).reschedule(s, d, order)
+}
+
+// reschedule is Reschedule on the workspace's buffers.
+func (w *workspace) reschedule(s *System, d *Deployment, order []int) float64 {
+	return w.schedule(s, d, order, func(i int) float64 { return d.CommTime(s, i) })
 }
 
 // phase3PathSelection implements Algorithm 3: for every processor pair with
@@ -525,32 +532,18 @@ func Reschedule(s *System, d *Deployment, order []int) float64 {
 // per-processor energy subject to the horizon (9), starting from the
 // energy-oriented default. It reports whether the final schedule meets the
 // horizon.
-func phase3PathSelection(s *System, d *Deployment, order []int, opts Options) (bool, error) {
+func phase3PathSelection(w *workspace, s *System, d *Deployment, order []int, opts Options) (bool, error) {
 	if opts.SinglePath {
 		// Baseline: every route pinned to the energy-oriented path.
-		makespan := Reschedule(s, d, order)
+		makespan := w.reschedule(s, d, order)
 		return numeric.LeqTol(makespan, s.H, timeTol), nil
 	}
 
-	// Collect pairs carrying traffic, in deterministic order.
 	n := s.Mesh.N()
-	used := make([][]bool, n)
-	for b := range used {
-		used[b] = make([]bool, n)
-	}
-	for _, pair := range s.exp.DepEdges() {
-		a, b := pair[0], pair[1]
-		if !d.Exists[a] || !d.Exists[b] {
-			continue
-		}
-		if d.Proc[a] != d.Proc[b] {
-			used[d.Proc[a]][d.Proc[b]] = true
-		}
-	}
-
+	used := usedPairs(s, d, nil)
 	evaluate := func() (maxCost, makespan float64, err error) {
-		makespan = Reschedule(s, d, order)
-		m, err := ComputeMetrics(s, d)
+		makespan = w.reschedule(s, d, order)
+		m, err := w.metrics(s, d)
 		if err != nil {
 			// Structure was validated before Phase 3, so a metrics failure
 			// is an internal inconsistency worth surfacing to the caller.
@@ -561,7 +554,7 @@ func phase3PathSelection(s *System, d *Deployment, order []int, opts Options) (b
 
 	for beta := 0; beta < n; beta++ {
 		for gamma := 0; gamma < n; gamma++ {
-			if !used[beta][gamma] {
+			if !used[beta*n+gamma] {
 				continue
 			}
 			bestRho, bestCost := -1, math.Inf(1)
@@ -590,6 +583,25 @@ func phase3PathSelection(s *System, d *Deployment, order []int, opts Options) (b
 			d.PathSel[beta][gamma] = bestRho
 		}
 	}
-	makespan := Reschedule(s, d, order)
+	makespan := w.reschedule(s, d, order)
 	return numeric.LeqTol(makespan, s.H, timeTol), nil
+}
+
+// usedPairs marks, in used[β·N+γ], every processor pair (β, γ) that
+// carries data under d's allocation: some dependency edge between
+// existing slots runs from β to γ ≠ β. It reuses used's storage. Only
+// these pairs' path selections enter comm times and energies.
+func usedPairs(s *System, d *Deployment, used []bool) []bool {
+	n := s.Mesh.N()
+	used = zeroed(used, n*n)
+	for _, pair := range s.exp.DepEdges() {
+		a, b := pair[0], pair[1]
+		if !d.Exists[a] || !d.Exists[b] {
+			continue
+		}
+		if d.Proc[a] != d.Proc[b] {
+			used[d.Proc[a]*n+d.Proc[b]] = true
+		}
+	}
+	return used
 }

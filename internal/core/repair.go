@@ -118,17 +118,22 @@ func HeuristicWithRepairCtx(ctx context.Context, s *System, opts Options, seed i
 // different processor and (b) flipping one pair's path selection; a move
 // is accepted when the rescheduled deployment stays feasible and the
 // objective strictly improves. It returns the improved deployment, its
-// objective, and the number of accepted moves.
+// objective, and the number of accepted moves. d is not modified: the
+// search clones it once and applies each move in place, undoing the
+// rejected ones.
 func Improve(s *System, d *Deployment, opts Options, maxMoves int) (*Deployment, float64, int) {
 	if maxMoves <= 0 {
 		maxMoves = 8 * s.Graph.M()
 	}
+	var w workspace
 	best, bestObj := d.Clone(), math.Inf(1)
-	if m, err := ComputeMetrics(s, best); err == nil {
+	if m, err := w.metrics(s, best); err == nil {
 		bestObj = m.Objective(opts.Objective)
 	}
 	accepted := 0
 	order := ScheduleOrder(s, best)
+	n := s.Mesh.N()
+	var used []bool
 
 	for accepted < maxMoves {
 		improved := false
@@ -137,31 +142,30 @@ func Improve(s *System, d *Deployment, opts Options, maxMoves int) (*Deployment,
 			if !best.Exists[i] {
 				continue
 			}
-			for k := 0; k < s.Mesh.N(); k++ {
-				if k == best.Proc[i] {
+			was := best.Proc[i]
+			for k := 0; k < n; k++ {
+				if k == was {
 					continue
 				}
-				cand := best.Clone()
-				cand.Proc[i] = k
-				if obj, ok := improves(s, cand, order, opts, bestObj); ok {
-					best, bestObj = cand, obj
+				best.Proc[i] = k
+				if obj, ok := w.improves(s, best, order, opts, bestObj); ok {
+					bestObj = obj
 					accepted++
 					improved = true
 					break moves
 				}
+				best.Proc[i] = was
 			}
 		}
 		if !improved {
-			// Path flips.
-			for b := 0; b < s.Mesh.N() && !improved; b++ {
-				for g := 0; g < s.Mesh.N(); g++ {
-					if b == g {
+			used = flipPairs(s, best, bestObj, used)
+			for b := 0; b < n && !improved; b++ {
+				for g := 0; g < n; g++ {
+					if !used[b*n+g] {
 						continue
 					}
-					cand := best.Clone()
-					cand.PathSel[b][g] = 1 - cand.PathSel[b][g]
-					if obj, ok := improves(s, cand, order, opts, bestObj); ok {
-						best, bestObj = cand, obj
+					if obj, ok := w.flipImproves(s, best, b, g, order, opts, bestObj); ok {
+						bestObj = obj
 						accepted++
 						improved = true
 						break
@@ -180,25 +184,28 @@ func Improve(s *System, d *Deployment, opts Options, maxMoves int) (*Deployment,
 // deployment (typically single-path), it greedily flips individual pairs'
 // path selections while feasibility holds and the objective improves. By
 // construction the result is never worse than the input, which makes it
-// the fair per-instance "multi-path vs single-path" comparison.
+// the fair per-instance "multi-path vs single-path" comparison. d is not
+// modified: the search clones it once and flips paths in place.
 func ImprovePaths(s *System, d *Deployment, opts Options) (*Deployment, float64) {
+	var w workspace
 	best, bestObj := d.Clone(), math.Inf(1)
-	if m, err := ComputeMetrics(s, best); err == nil {
+	if m, err := w.metrics(s, best); err == nil {
 		bestObj = m.Objective(opts.Objective)
 	}
 	order := ScheduleOrder(s, best)
+	n := s.Mesh.N()
+	// Flips leave the allocation alone, so one set of pairs serves the
+	// whole search.
+	used := flipPairs(s, best, bestObj, nil)
 	for changed := true; changed; {
 		changed = false
-		for b := 0; b < s.Mesh.N(); b++ {
-			for g := 0; g < s.Mesh.N(); g++ {
-				if b == g {
+		for b := 0; b < n; b++ {
+			for g := 0; g < n; g++ {
+				if !used[b*n+g] {
 					continue
 				}
-				cand := best.Clone()
-				cand.PathSel[b][g] = 1 - cand.PathSel[b][g]
-				if obj, ok := improves(s, cand, order, opts, bestObj); ok {
-					best, bestObj = cand, obj
-					changed = true
+				if obj, ok := w.flipImproves(s, best, b, g, order, opts, bestObj); ok {
+					bestObj, changed = obj, true
 				}
 			}
 		}
@@ -206,19 +213,50 @@ func ImprovePaths(s *System, d *Deployment, opts Options) (*Deployment, float64)
 	return best, bestObj
 }
 
-// improves reschedules the candidate move cand in order and returns its
-// objective when cand stays feasible and beats bestObj by more than
-// EnergyTol. Constraints are checked first, so an infeasible move costs
-// no metrics pass.
-func improves(s *System, cand *Deployment, order []int, opts Options, bestObj float64) (float64, bool) {
-	Reschedule(s, cand, order)
-	if CheckConstraints(s, cand) != nil {
-		return 0, false
+// flipPairs marks, in used[β·N+γ], the pairs whose path flip a search
+// from d must score. With bestObj the objective of d, these are the pairs
+// carrying data (usedPairs): any other flip changes no comm time and no
+// energy, so its objective has the bits of bestObj and improves rejects
+// it. With no objective yet (d failed the structure check, so bestObj is
+// +Inf), every pair is scored.
+func flipPairs(s *System, d *Deployment, bestObj float64, used []bool) []bool {
+	used = usedPairs(s, d, used)
+	if math.IsInf(bestObj, 1) {
+		n := s.Mesh.N()
+		for i := range used {
+			used[i] = i/n != i%n
+		}
 	}
-	m, err := ComputeMetrics(s, cand)
-	if err != nil {
-		return 0, false
+	return used
+}
+
+// flipImproves flips pair (b, g)'s path selection in d and keeps the flip
+// when improves accepts it; otherwise it flips back.
+func (w *workspace) flipImproves(s *System, d *Deployment, b, g int, order []int, opts Options, bestObj float64) (float64, bool) {
+	d.PathSel[b][g] = 1 - d.PathSel[b][g]
+	obj, ok := w.improves(s, d, order, opts, bestObj)
+	if !ok {
+		d.PathSel[b][g] = 1 - d.PathSel[b][g]
 	}
-	obj := m.Objective(opts.Objective)
-	return obj, numeric.LtTol(obj, bestObj, EnergyTol)
+	return obj, ok
+}
+
+// improves scores the move already written into d: it reschedules d in
+// order into the workspace's spare start times and returns the objective
+// when d stays feasible and beats bestObj by more than EnergyTol. A
+// rejected move gets d's start times back; undoing the move itself is the
+// caller's job. Constraints are checked first, so an infeasible move
+// costs no metrics pass.
+func (w *workspace) improves(s *System, d *Deployment, order []int, opts Options, bestObj float64) (float64, bool) {
+	w.stageStart(d)
+	w.reschedule(s, d, order)
+	if w.check(s, d) == nil {
+		if m, err := w.metrics(s, d); err == nil {
+			if obj := m.Objective(opts.Objective); numeric.LtTol(obj, bestObj, EnergyTol) {
+				return obj, true
+			}
+		}
+	}
+	w.unstageStart(d)
+	return 0, false
 }

@@ -248,6 +248,18 @@ func (d *Deployment) Clone() *Deployment {
 	return c
 }
 
+// copyFrom overwrites d with src, which has the same shape, reusing d's
+// storage.
+func (d *Deployment) copyFrom(src *Deployment) {
+	copy(d.Exists, src.Exists)
+	copy(d.Level, src.Level)
+	copy(d.Proc, src.Proc)
+	copy(d.Start, src.Start)
+	for b, row := range src.PathSel {
+		copy(d.PathSel[b], row)
+	}
+}
+
 // End returns t_i^e = t_i^s + t_i^comp for slot i under the system's
 // timing model (zero-length if the slot does not exist).
 func (d *Deployment) End(s *System, i int) float64 {

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"nocdeploy/internal/noc"
 	"nocdeploy/internal/reliability"
@@ -57,16 +58,70 @@ func Validate(s *System, d *Deployment) (*Metrics, error) {
 // ComputeMetrics computes energy and timing figures without judging
 // feasibility (structure is still validated).
 func ComputeMetrics(s *System, d *Deployment) (*Metrics, error) {
+	var w workspace
+	m, err := w.metrics(s, d)
+	if err != nil {
+		return nil, err
+	}
+	out := *m
+	return &out, nil
+}
+
+// workspace holds the buffers of one evaluation: the schedule, the
+// constraint check and the metrics. The exported entry points run on a
+// fresh workspace; a local search keeps one for its whole run, so scoring
+// a candidate move allocates nothing. The metrics it returns live in the
+// workspace and are overwritten by the next evaluation.
+type workspace struct {
+	start    []float64 // spare start times a candidate is scheduled into
+	procFree []float64 // the schedule's per-processor finish times
+	comm     []float64 // CheckConstraints' per-slot comm times
+	ivs      []interval
+	perProc  []int // tasks per processor
+	m        Metrics
+}
+
+// interval is one existing slot's execution window for the (7) check.
+type interval struct {
+	k, id int
+	s, e  float64
+}
+
+// zeroed returns buf resized to n and cleared, reusing its storage when
+// it is large enough.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// stageStart swaps a copy of d's start times in from the spare slice, so
+// a reschedule of d can be taken back by unstageStart.
+func (w *workspace) stageStart(d *Deployment) {
+	w.start = append(w.start[:0], d.Start...)
+	w.unstageStart(d)
+}
+
+// unstageStart swaps d's start times with the spare slice.
+func (w *workspace) unstageStart(d *Deployment) { d.Start, w.start = w.start, d.Start }
+
+// metrics is ComputeMetrics on the workspace's buffers.
+func (w *workspace) metrics(s *System, d *Deployment) (*Metrics, error) {
 	if err := checkStructure(s, d); err != nil {
 		return nil, err
 	}
 	n := s.Mesh.N()
-	m := &Metrics{
-		CompEnergy: make([]float64, n),
-		CommEnergy: make([]float64, n),
+	m := &w.m
+	*m = Metrics{
+		CompEnergy: zeroed(m.CompEnergy, n),
+		CommEnergy: zeroed(m.CommEnergy, n),
 		Dups:       d.DupCount(),
 	}
-	perProc := make([]int, n)
+	w.perProc = zeroed(w.perProc, n)
+	perProc := w.perProc
 	for i := 0; i < s.exp.Size(); i++ {
 		if !d.Exists[i] {
 			continue
@@ -164,6 +219,11 @@ func checkStructure(s *System, d *Deployment) error {
 // CheckConstraints verifies constraints (4)–(9) for an existing-structure
 // deployment.
 func CheckConstraints(s *System, d *Deployment) error {
+	return new(workspace).check(s, d)
+}
+
+// check is CheckConstraints on the workspace's buffers.
+func (w *workspace) check(s *System, d *Deployment) error {
 	// (4)+(5): reliability with the duplication rule.
 	for i := 0; i < s.Graph.M(); i++ {
 		ri := s.Reliability(i, d.Level[i])
@@ -195,7 +255,8 @@ func CheckConstraints(s *System, d *Deployment) error {
 		}
 	}
 	// (6): precedence with communication, reported in DepEdges order.
-	comm := make([]float64, s.exp.Size())
+	w.comm = zeroed(w.comm, s.exp.Size())
+	comm := w.comm
 	for i := range comm {
 		comm[i] = d.CommTime(s, i)
 	}
@@ -213,25 +274,21 @@ func CheckConstraints(s *System, d *Deployment) error {
 	// (7): tasks on the same processor must not overlap. One sort by
 	// (processor, start, slot) puts each processor's tasks side by side,
 	// so the first overlap reported is on the lowest-numbered processor.
-	type ival struct {
-		k, id int
-		s, e  float64
-	}
-	ivs := make([]ival, 0, s.exp.Size())
+	ivs := slices.Grow(w.ivs[:0], s.exp.Size())
 	for i := 0; i < s.exp.Size(); i++ {
 		if d.Exists[i] {
-			ivs = append(ivs, ival{d.Proc[i], i, d.Start[i], d.End(s, i)})
+			ivs = append(ivs, interval{d.Proc[i], i, d.Start[i], d.End(s, i)})
 		}
 	}
-	sort.Slice(ivs, func(i, j int) bool {
-		a, b := ivs[i], ivs[j]
+	w.ivs = ivs
+	slices.SortFunc(ivs, func(a, b interval) int {
 		if a.k != b.k {
-			return a.k < b.k
+			return cmp.Compare(a.k, b.k)
 		}
 		if a.s != b.s { //lint:allow floateq — deterministic sort key; a tolerance would break transitivity
-			return a.s < b.s
+			return cmp.Compare(a.s, b.s)
 		}
-		return a.id < b.id
+		return cmp.Compare(a.id, b.id)
 	})
 	for i := 1; i < len(ivs); i++ {
 		prev, cur := ivs[i-1], ivs[i]

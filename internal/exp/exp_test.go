@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -150,5 +151,32 @@ func TestTableCSV(t *testing.T) {
 	want := "a,b\n1,\"x,y\"\n2,\"say \"\"hi\"\"\"\n"
 	if got != want {
 		t.Errorf("CSV:\n%q\nwant\n%q", got, want)
+	}
+}
+
+// TestFig2fBudgetStopsAreCensored: under a node budget that binds, exact
+// solves stop short of the 1% gap, so Fig. 2(f) must count them as not
+// proven, mark t(optimal) censored and name the budget in its note.
+func TestFig2fBudgetStopsAreCensored(t *testing.T) {
+	tb, err := RunFig2f(Config{Seed: 1, Quick: true, TimeLimit: time.Minute, MaxNodes: 1, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(tb.Note, "capped at 1 branch & bound nodes") {
+		t.Errorf("note %q does not name the node budget", tb.Note)
+	}
+	censored := 0
+	for _, row := range tb.Rows {
+		var proven, reps int
+		if _, err := fmt.Sscanf(row[4], "%d/%d", &proven, &reps); err != nil {
+			t.Fatalf("row %v: proven cell: %v", row, err)
+		}
+		if marked := strings.HasPrefix(row[1], ">"); marked != (proven < reps) {
+			t.Errorf("row %v: t(optimal) censored %v with %d/%d proven", row, marked, proven, reps)
+		}
+		censored += reps - proven
+	}
+	if censored == 0 {
+		t.Errorf("every solve counted as proven on a one-node budget:\n%v", tb.Rows)
 	}
 }
