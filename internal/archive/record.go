@@ -7,15 +7,14 @@
 //
 //   - Record / Summary (this file): what one archived solve looks like.
 //     Records carry the full story — instance signature, options,
-//     outcome, energy/makespan breakdown, per-stage latencies, the
-//     incumbent trajectory and per-operator engine stats. Summaries are
-//     the compact projection held in memory for every record on disk.
+//     outcome, energy/makespan breakdown, per-stage latencies, and the
+//     solver's own incumbent trajectory and per-operator engine stats.
+//     Summaries are the compact projection held in memory for every
+//     record on disk.
 //   - Store (store.go): segmented JSONL persistence under one directory
 //     with an in-memory index, crash-safe rotation, size/age retention
 //     by whole segments, and a bounded async writer that can never block
 //     a solve.
-//   - Collector (collector.go): an obs.Sink folding the live event
-//     stream into per-request trajectories and operator stats.
 //   - Advisor (advisor.go): solver recommendation from archived
 //     summaries, a pure function of that history — the engine behind
 //     solver=auto.
@@ -65,15 +64,17 @@ type Summary struct {
 	seg int64
 }
 
-// TrajPoint is one point of a solve's incumbent trajectory, folded from
-// bb.incumbent / engine.iter events. T is seconds since the trace epoch.
+// TrajPoint is one point of a solve's incumbent trajectory, as the solver
+// returned it (core.SolveInfo.Incumbents). T is seconds since the solver
+// started; Obj is the incumbent's objective (model scale for the exact
+// solver).
 type TrajPoint struct {
 	T   float64 `json:"t"`
 	Obj float64 `json:"obj"`
 }
 
-// OpStat aggregates one portfolio operator's work during a solve, folded
-// from engine.op.apply events.
+// OpStat aggregates one portfolio operator's work during a solve, as the
+// engine returned it (core.SolveInfo.Operators).
 type OpStat struct {
 	Applies      int     `json:"applies"`
 	Improvements int     `json:"improvements,omitempty"`
@@ -120,8 +121,8 @@ type Record struct {
 	// ("cache", "queue", "solve", ...).
 	Stages map[string]float64 `json:"stageSeconds,omitempty"`
 
-	// Incumbent trajectory and per-operator engine stats, folded from the
-	// request's event stream by a Collector.
+	// Incumbent trajectory (at most obs.SeriesCap points, decimated) and
+	// per-operator engine stats, taken from the solver's SolveInfo.
 	Trajectory []TrajPoint       `json:"trajectory,omitempty"`
 	Ops        map[string]OpStat `json:"ops,omitempty"`
 

@@ -39,9 +39,14 @@ type SolveInfo struct {
 	Nodes int
 	Iters int
 	Gap   float64
-	// Incumbents is the exact solver's incumbent trajectory (model-scale
-	// MILP objective per improvement); nil for the heuristic.
+	// Incumbents is the incumbent trajectory, filled by the exact solver
+	// (model-scale MILP objective per improvement) and the portfolio
+	// (the constructed incumbent, then each improvement); nil for the
+	// heuristic, repair and annealing.
 	Incumbents []IncumbentPoint
+	// Operators is the portfolio's work per operator name, in portfolio
+	// order, including names never applied; nil for every other solver.
+	Operators []OperatorStat
 }
 
 // PhaseTiming is the wall-clock spent in one named solver phase.
@@ -50,11 +55,21 @@ type PhaseTiming struct {
 	D    time.Duration
 }
 
-// IncumbentPoint is one improvement of the exact solver's incumbent.
+// IncumbentPoint is one improvement of a solve's incumbent.
 type IncumbentPoint struct {
-	T     time.Duration // since the MILP solve started
-	Obj   float64       // MILP objective at acceptance (model scale)
-	Nodes int           // LP relaxations solved at acceptance time
+	T     time.Duration // since the solver started (the MILP solve, for the exact solver)
+	Obj   float64       // objective at acceptance (model scale for the exact solver)
+	Nodes int           // LP relaxations solved at acceptance time (exact solver)
+}
+
+// OperatorStat is one portfolio operator's work during a solve: its
+// applications, how many of them improved the incumbent, and their summed
+// wall-clock seconds. Operators sharing a name share one entry.
+type OperatorStat struct {
+	Name         string
+	Applies      int
+	Improvements int
+	Seconds      float64
 }
 
 // HeuristicCtx runs the paper's three-phase decomposition (Algorithms 1–3)

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"nocdeploy/internal/core"
@@ -153,6 +154,18 @@ func SolveCtx(ctx context.Context, s *core.System, copts core.Options, eo Option
 	bestObj, bestFeas := info0.Objective, info0.Feasible
 	incumbents := []core.IncumbentPoint{{T: constructDur, Obj: bestObj}}
 
+	// Per-operator work, one entry per name in portfolio order: operators
+	// sharing a name share an entry, as their engine.op.apply labels do.
+	var stats []core.OperatorStat
+	slot := make([]int, len(ops))
+	for i, op := range ops {
+		slot[i] = slices.IndexFunc(stats, func(st core.OperatorStat) bool { return st.Name == op.Name() })
+		if slot[i] < 0 {
+			slot[i] = len(stats)
+			stats = append(stats, core.OperatorStat{Name: op.Name()})
+		}
+	}
+
 	rng := rand.New(rand.NewSource(eo.Seed))
 	scores := make([]float64, len(ops))
 	for i := range scores {
@@ -249,6 +262,12 @@ func SolveCtx(ctx context.Context, s *core.System, copts core.Options, eo Option
 				}
 			}
 			scores[a.op] = (1-alpha)*scores[a.op] + alpha*reward
+			st := &stats[slot[a.op]]
+			st.Applies++
+			st.Seconds += a.dur
+			if phase == "improved" {
+				st.Improvements++
+			}
 			tr.Emit(obs.Event{
 				Kind:  obs.EngineOpApply,
 				Label: ops[a.op].Name(),
@@ -289,6 +308,7 @@ func SolveCtx(ctx context.Context, s *core.System, copts core.Options, eo Option
 			{Name: "improve", D: elapsed - constructDur},
 		},
 		Incumbents: incumbents,
+		Operators:  stats,
 	}
 	return best, info, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -173,6 +174,18 @@ func TestPortfolioDeterministicAcrossWorkers(t *testing.T) {
 	if info1.Objective != info8.Objective { //lint:allow floateq — identical deterministic runs must agree exactly
 		t.Errorf("objectives differ: %g vs %g", info1.Objective, info8.Objective)
 	}
+	// Per-operator stats are part of the contract too, bar the measured
+	// seconds, and they count every application exactly once.
+	if c1, c8 := opCounts(info1), opCounts(info8); !reflect.DeepEqual(c1, c8) {
+		t.Errorf("operator stats differ between Workers=1 and Workers=8:\n%+v\n%+v", c1, c8)
+	}
+	applies := 0
+	for _, op := range info1.Operators {
+		applies += op.Applies
+	}
+	if len(info1.Operators) == 0 || applies != info1.Iters {
+		t.Errorf("operator applies sum to %d, want SolveInfo.Iters = %d (%+v)", applies, info1.Iters, info1.Operators)
+	}
 	if len(trace1) == 0 {
 		t.Fatal("empty trace: engine emitted no events")
 	}
@@ -181,6 +194,15 @@ func TestPortfolioDeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("trace missing %s events", want)
 		}
 	}
+}
+
+// opCounts is info's per-operator stats without the measured seconds.
+func opCounts(info *core.SolveInfo) []core.OperatorStat {
+	out := slices.Clone(info.Operators)
+	for i := range out {
+		out[i].Seconds = 0
+	}
+	return out
 }
 
 // TestBuildOperators covers the portfolio vocabulary: the full set by

@@ -354,16 +354,6 @@ func (m *Mesh) EnergyPerByte(beta, gamma, k, rho int) float64 {
 	return 0
 }
 
-// TotalEnergyPerByte returns Σ_k e[β][γ][k][ρ], the full path cost per byte,
-// summed in router order.
-func (m *Mesh) TotalEnergyPerByte(beta, gamma, rho int) float64 {
-	var s float64
-	for k := 0; k < m.N(); k++ {
-		s += m.EnergyPerByte(beta, gamma, k, rho)
-	}
-	return s
-}
-
 // TimeBounds returns min and max of t[β][γ][ρ] over all β ≠ γ and ρ; the
 // paper's average-communication-time estimate uses these. A one-router mesh
 // carries no traffic, so its bounds are (0, 0).
@@ -386,30 +376,6 @@ func (m *Mesh) TimeBounds() (lo, hi float64) {
 				}
 			}
 		}
-	}
-	return lo, hi
-}
-
-// EnergyBoundsAt returns (min over β≠γ of e[β][γ][k][1], max over β≠γ of
-// e[β][γ][k][0]) for node k, the quantities in the paper's E_k^comm
-// estimate. Entries where k is off-path (zero) are ignored for the minimum.
-func (m *Mesh) EnergyBoundsAt(k int) (lo, hi float64) {
-	lo, hi = math.Inf(1), 0
-	for b := 0; b < m.N(); b++ {
-		for g := 0; g < m.N(); g++ {
-			if b == g {
-				continue
-			}
-			if e := m.EnergyPerByte(b, g, k, PathEnergy); e > hi {
-				hi = e
-			}
-			if e := m.EnergyPerByte(b, g, k, PathTime); e > 0 && e < lo {
-				lo = e
-			}
-		}
-	}
-	if math.IsInf(lo, 1) {
-		lo = 0
 	}
 	return lo, hi
 }

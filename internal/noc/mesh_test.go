@@ -95,6 +95,16 @@ func TestSameProcessorCommFree(t *testing.T) {
 	}
 }
 
+// totalEnergy is Σ_k e[β][γ][k][ρ], the full path cost per byte, summed
+// in router order.
+func totalEnergy(m *Mesh, beta, gamma, rho int) float64 {
+	var s float64
+	for k := 0; k < m.N(); k++ {
+		s += m.EnergyPerByte(beta, gamma, k, rho)
+	}
+	return s
+}
+
 // The energy-oriented path must be no worse in total energy than the
 // time-oriented path, and vice versa for latency (Dijkstra optimality).
 func TestPathOrientationOptimality(t *testing.T) {
@@ -104,8 +114,8 @@ func TestPathOrientationOptimality(t *testing.T) {
 			if b == g {
 				continue
 			}
-			eE := m.TotalEnergyPerByte(b, g, PathEnergy)
-			eT := m.TotalEnergyPerByte(b, g, PathTime)
+			eE := totalEnergy(m, b, g, PathEnergy)
+			eT := totalEnergy(m, b, g, PathTime)
 			if eE > eT+1e-18 {
 				t.Errorf("%d→%d: energy path costs more energy (%g) than time path (%g)", b, g, eE, eT)
 			}
@@ -170,7 +180,7 @@ func TestEnergyChargedOnlyOnPath(t *testing.T) {
 						t.Fatalf("node %d charged but off path %d→%d ρ=%d", k, b, g, rho)
 					}
 				}
-				if tot := m.TotalEnergyPerByte(b, g, rho); tot <= 0 {
+				if tot := totalEnergy(m, b, g, rho); tot <= 0 {
 					t.Fatalf("non-positive total energy for %d→%d ρ=%d", b, g, rho)
 				}
 			}
@@ -188,7 +198,7 @@ func TestEnergyGrowsWithDistanceUniform(t *testing.T) {
 	src := m.ID(0, 0)
 	prev := 0.0
 	for x := 1; x < 4; x++ {
-		e := m.TotalEnergyPerByte(src, m.ID(x, 0), PathEnergy)
+		e := totalEnergy(m, src, m.ID(x, 0), PathEnergy)
 		if e <= prev {
 			t.Errorf("energy to (%d,0) = %g not greater than previous %g", x, e, prev)
 		}
@@ -202,24 +212,14 @@ func TestTimeBoundsAndScaleEnergy(t *testing.T) {
 	if !(lo > 0 && hi >= lo) {
 		t.Fatalf("TimeBounds = (%g, %g)", lo, hi)
 	}
-	before := m.TotalEnergyPerByte(0, 5, PathEnergy)
-	m.ScaleEnergy(2.5)
-	after := m.TotalEnergyPerByte(0, 5, PathEnergy)
-	if math.Abs(after-2.5*before)/before > 1e-12 {
-		t.Errorf("ScaleEnergy: got %g, want %g", after, 2.5*before)
-	}
-}
-
-func TestEnergyBoundsAt(t *testing.T) {
-	m := Default(3, 3)
-	for k := 0; k < m.N(); k++ {
-		lo, hi := m.EnergyBoundsAt(k)
-		if lo < 0 || hi < lo {
-			t.Errorf("EnergyBoundsAt(%d) = (%g, %g)", k, lo, hi)
-		}
-	}
 	if hi := m.MaxEnergyPerByte(); hi <= 0 {
 		t.Errorf("MaxEnergyPerByte = %g", hi)
+	}
+	before := totalEnergy(m, 0, 5, PathEnergy)
+	m.ScaleEnergy(2.5)
+	after := totalEnergy(m, 0, 5, PathEnergy)
+	if math.Abs(after-2.5*before)/before > 1e-12 {
+		t.Errorf("ScaleEnergy: got %g, want %g", after, 2.5*before)
 	}
 }
 

@@ -65,14 +65,14 @@ func (s *JSONLSink) Close() error {
 }
 
 // ScanJSONL decodes a JSONL trace one event at a time, calling fn for
-// each — the streaming inverse of JSONLSink, for consumers (archive
-// trajectory folding, trace-slice validation) that must not materialize
-// an O(file) slice. Decoding is line-oriented: blank lines are skipped,
-// and a line that is not a valid event object (corrupt, or a final line
-// truncated by a crashed writer) stops the scan with an error naming its
-// 1-based line number; every event before the bad line has already been
-// delivered, so a torn trace yields its intact prefix. A non-nil error
-// from fn stops the scan and is returned verbatim.
+// each — the streaming inverse of JSONLSink, for consumers (trace-slice
+// validation in deployctl) that must not materialize an O(file) slice.
+// Decoding is line-oriented: blank lines are skipped, and a line that is
+// not a valid event object (corrupt, or a final line truncated by a
+// crashed writer) stops the scan with an error naming its 1-based line
+// number; every event before the bad line has already been delivered, so
+// a torn trace yields its intact prefix. A non-nil error from fn stops
+// the scan and is returned verbatim.
 func ScanJSONL(r io.Reader, fn func(Event) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

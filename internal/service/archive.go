@@ -1,8 +1,8 @@
 // Solve archive integration: recording finished solves, the
 // history-driven solver=auto advisor, and the /v1/archive query API.
 //
-// Recording is write-only by construction: the archive observes the
-// solve through the trace sinks and a post-settlement Append — it never
+// Recording is write-only by construction: the archive reads the
+// solver's returned SolveInfo in a post-settlement Append — it never
 // holds the solve path (Append is non-blocking) and never feeds anything
 // back into the solver. The one read path, solver=auto, happens before
 // normalization and turns into an ordinary explicit-solver request.
@@ -20,6 +20,7 @@ import (
 
 	"nocdeploy/internal/archive"
 	"nocdeploy/internal/cache"
+	"nocdeploy/internal/core"
 	"nocdeploy/internal/obs"
 	"nocdeploy/internal/spec"
 )
@@ -30,15 +31,16 @@ type solveStages struct {
 	queue, solve, e2e time.Duration
 }
 
-// recordSolve archives one settled leader solve. Cache hits and
-// coalesced waits are not separate solves and are deliberately not
-// recorded — the archive answers "what did solving cost", not "what did
-// serving cost" (the metrics registry covers the latter).
-func (s *Service) recordSolve(req SolveRequest, hash string, res *SolveResult, err error, st solveStages) {
+// recordSolve archives one settled leader solve, taking its trajectory
+// and operator stats from the solver's info (nil when the solve never
+// ran). Cache hits and coalesced waits are not separate solves and are
+// deliberately not recorded — the archive answers "what did solving
+// cost", not "what did serving cost" (the metrics registry covers the
+// latter).
+func (s *Service) recordSolve(req SolveRequest, hash string, res *SolveResult, info *core.SolveInfo, err error, st solveStages) {
 	if s.arch == nil {
 		return
 	}
-	traj, ops := s.coll.Take(req.RequestID)
 	rec := &archive.Record{
 		Summary: archive.Summary{
 			Hash:      hash,
@@ -59,9 +61,11 @@ func (s *Service) recordSolve(req SolveRequest, hash string, res *SolveResult, e
 			StageSolve: st.solve.Seconds(),
 			StageE2E:   st.e2e.Seconds(),
 		},
-		Trajectory: traj,
-		Ops:        ops,
-		Advice:     req.Advice,
+		Advice: req.Advice,
+	}
+	if info != nil {
+		rec.Trajectory = trajectory(info.Incumbents)
+		rec.Ops = opStats(info.Operators)
 	}
 	if req.Solver == SolverPortfolio {
 		rec.EngineOps = req.EngineOps
@@ -82,6 +86,33 @@ func (s *Service) recordSolve(req SolveRequest, hash string, res *SolveResult, e
 		rec.Dups = res.Deployment.Dups
 	}
 	s.arch.Append(rec)
+}
+
+// trajectory converts a solver's incumbent trajectory into archive
+// points, at most obs.SeriesCap of them (obs.Decimated keeps the first
+// point and the shape of a longer one).
+func trajectory(incs []core.IncumbentPoint) []archive.TrajPoint {
+	var traj obs.Decimated[archive.TrajPoint]
+	for _, inc := range incs {
+		traj.Add(archive.TrajPoint{T: inc.T.Seconds(), Obj: inc.Obj}, obs.SeriesCap)
+	}
+	return traj.Points()
+}
+
+// opStats keys the portfolio's per-operator work by operator name,
+// leaving out operators never applied; nil when none was.
+func opStats(stats []core.OperatorStat) map[string]archive.OpStat {
+	var ops map[string]archive.OpStat
+	for _, st := range stats {
+		if st.Applies == 0 {
+			continue
+		}
+		if ops == nil {
+			ops = map[string]archive.OpStat{}
+		}
+		ops[st.Name] = archive.OpStat{Applies: st.Applies, Improvements: st.Improvements, Seconds: st.Seconds}
+	}
+	return ops
 }
 
 // resolveAuto turns solver=auto into a concrete solver using the

@@ -2,15 +2,19 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"nocdeploy/internal/archive"
+	"nocdeploy/internal/core"
 	"nocdeploy/internal/obs"
 )
 
@@ -148,6 +152,143 @@ func TestArchiveRecordsSolves(t *testing.T) {
 	}
 	if stats.Records != 2 || stats.Solvers["repair"].Count != 1 {
 		t.Fatalf("stats: %+v", stats)
+	}
+}
+
+// TestArchiveRecordsSolveInfo checks archived trajectories and operator
+// stats against the request's own trace slice, the event stream being the
+// oracle: an optimal record's trajectory follows the request's
+// bb.incumbent events, and a portfolio record's per-operator stats count
+// its engine.op.apply events (a repeated operator name included) while
+// its trajectory holds the constructed incumbent and each improvement.
+func TestArchiveRecordsSolveInfo(t *testing.T) {
+	svc, srv := newArchivedService(t)
+	body := instanceBody(t, chainInstance(3, 5.0))
+
+	// solve runs one request and returns its archived record and its
+	// trace slice.
+	solve := func(query string) (archive.Record, []obs.Event) {
+		t.Helper()
+		resp := postSolve(t, srv.URL+"/v1/solve?"+query, body)
+		b := readBody(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", query, resp.StatusCode, b)
+		}
+		reqID := resp.Header.Get("X-Request-ID")
+		resp, err := http.Get(srv.URL + "/v1/requests/" + reqID + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, err := obs.ReadJSONL(bytes.NewReader(readBody(t, resp)))
+		if err != nil {
+			t.Fatalf("%s: trace slice: %v", query, err)
+		}
+		newest := listArchive(t, srv.URL, "?limit=1")
+		if len(newest) != 1 {
+			t.Fatalf("%s: archive lists %d records", query, len(newest))
+		}
+		resp, err = http.Get(srv.URL + "/v1/archive/" + newest[0].ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec archive.Record
+		if err := json.Unmarshal(readBody(t, resp), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Request != reqID {
+			t.Fatalf("%s: newest record is request %q, want %q", query, rec.Request, reqID)
+		}
+		return rec, events
+	}
+
+	rec, events := solve("solver=optimal")
+	var want, got []float64
+	for _, e := range events {
+		if e.Kind == obs.BBIncumbent {
+			want = append(want, e.Obj)
+		}
+	}
+	for i, p := range rec.Trajectory {
+		got = append(got, p.Obj)
+		if p.T < 0 || i > 0 && p.T < rec.Trajectory[i-1].T {
+			t.Errorf("optimal trajectory T not non-decreasing from 0 at %d: %+v", i, rec.Trajectory)
+		}
+	}
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("optimal trajectory objectives %v, want the bb.incumbent sequence %v", got, want)
+	}
+	if rec.Ops != nil {
+		t.Errorf("optimal record has operator stats %+v", rec.Ops)
+	}
+
+	for _, query := range []string{"solver=portfolio&rounds=2", "solver=portfolio&rounds=2&ops=repair,improve,repair"} {
+		rec, events := solve(query)
+		ops := map[string]archive.OpStat{}
+		improved := 0
+		var best []float64 // engine.iter objectives, one per round
+		for _, e := range events {
+			switch e.Kind {
+			case obs.EngineOpApply:
+				op := ops[e.Label]
+				op.Applies++
+				op.Seconds += e.Dur
+				if e.Phase == "improved" {
+					op.Improvements++
+					improved++
+				}
+				ops[e.Label] = op
+			case obs.EngineIter:
+				best = append(best, e.Obj)
+			}
+		}
+		if len(ops) == 0 || !reflect.DeepEqual(rec.Ops, ops) {
+			t.Errorf("%s: archived ops %+v, want the engine.op.apply counts %+v", query, rec.Ops, ops)
+		}
+		n := len(rec.Trajectory)
+		if n != 1+improved || len(best) != 2 || !slices.Equal([]float64{rec.Trajectory[n-1].Obj}, best[1:]) {
+			t.Errorf("%s: trajectory %+v, want the construct point plus %d improvements ending at %v",
+				query, rec.Trajectory, improved, best)
+		}
+	}
+	if ev := svc.events.Stats().Evicted; ev != 0 {
+		t.Fatalf("event log evicted %d events: the trace slices are incomplete", ev)
+	}
+}
+
+// TestArchiveTrajectoryDecimated: a solver trajectory longer than
+// obs.SeriesCap archives at most that many points, keeping the first one
+// and the T order; operators never applied are left out of the record.
+func TestArchiveTrajectoryDecimated(t *testing.T) {
+	const n = 1000
+	incs := make([]core.IncumbentPoint, n)
+	for i := range incs {
+		incs[i] = core.IncumbentPoint{T: time.Duration(i) * time.Millisecond, Obj: float64(n - i)}
+	}
+	traj := trajectory(incs)
+	if len(traj) == 0 || len(traj) > obs.SeriesCap {
+		t.Fatalf("decimated trajectory has %d points, want 1..%d", len(traj), obs.SeriesCap)
+	}
+	if traj[0].T != 0 || traj[0].Obj != n { //lint:allow floateq — exact values of the first point
+		t.Fatalf("first point = %+v, want the solve's start", traj[0])
+	}
+	for i := 1; i < len(traj); i++ {
+		if traj[i].T <= traj[i-1].T {
+			t.Fatalf("trajectory not increasing at %d: %+v", i, traj[i-1:i+1])
+		}
+	}
+	if trajectory(nil) != nil {
+		t.Error("empty trajectory not nil")
+	}
+
+	ops := opStats([]core.OperatorStat{
+		{Name: "repair", Applies: 2, Improvements: 1, Seconds: 0.5},
+		{Name: "exact"},
+	})
+	if want := map[string]archive.OpStat{"repair": {Applies: 2, Improvements: 1, Seconds: 0.5}}; !reflect.DeepEqual(ops, want) {
+		t.Errorf("opStats = %+v, want %+v", ops, want)
+	}
+	if ops := opStats([]core.OperatorStat{{Name: "exact"}}); ops != nil {
+		t.Errorf("opStats with no application = %+v, want nil", ops)
 	}
 }
 

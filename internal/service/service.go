@@ -262,11 +262,10 @@ type Service struct {
 	pool   *runner.Pool
 	cache  *cache.Cache[*SolveResult]
 	jobs   *jobTable
-	trace  *obs.Trace         // root of every request-scoped child trace; may be nil
-	events *obs.Log           // recent events: trace endpoints, flight recorder, SSE; may be nil
-	alog   *accessLogger      // may be nil
-	arch   *archive.Store     // persistent solve archive; may be nil
-	coll   *archive.Collector // trajectory folding for the archive; may be nil
+	trace  *obs.Trace     // root of every request-scoped child trace; may be nil
+	events *obs.Log       // recent events: trace endpoints, flight recorder, SSE; may be nil
+	alog   *accessLogger  // may be nil
+	arch   *archive.Store // persistent solve archive; may be nil
 	clock  obs.Clock
 	start  time.Time // service start, per clock — uptime_seconds epoch
 	reqSeq atomic.Int64
@@ -301,14 +300,6 @@ func New(cfg Config) *Service {
 		}
 		s.events = obs.NewLog(capacity)
 		sinks = append(sinks, s.events)
-	}
-	if s.arch != nil {
-		// The collector folds each request's incumbent trajectory and
-		// operator stats for its archive record. Registered as a sink so
-		// folding rides the existing emission path — archiving observes
-		// the solve, it never participates in it.
-		s.coll = archive.NewCollector(0, 0)
-		sinks = append(sinks, s.coll)
 	}
 	sinks = append(sinks, cfg.TraceSinks...)
 	// Fold solver events into the metrics registry so per-operator engine
@@ -403,12 +394,13 @@ func (s *Service) solve(ctx context.Context, req SolveRequest, ri *reqInfo) (*So
 	// result. The flight must be finished on all paths or waiters hang.
 	start := time.Now()
 	var out *SolveResult
+	var info *core.SolveInfo
 	var queueWait, solveDur time.Duration
 	done, err := s.pool.TrySubmit(func() error {
 		begun := time.Now()
 		queueWait = begun.Sub(start)
 		var err error
-		out, err = s.runSolve(ctx, req, key, tr)
+		out, info, err = s.runSolve(ctx, req, key, tr)
 		solveDur = time.Since(begun)
 		return err
 	})
@@ -426,7 +418,7 @@ func (s *Service) solve(ctx context.Context, req SolveRequest, ri *reqInfo) (*So
 	s.met.Observe("solve.seconds", time.Since(start).Seconds())
 	// Archive the solve after the flight is settled — recording is
 	// write-only and off the waiters' path.
-	s.recordSolve(req, hash, out, err, solveStages{
+	s.recordSolve(req, hash, out, info, err, solveStages{
 		queue: queueWait,
 		solve: solveDur,
 		e2e:   time.Since(start),
@@ -436,31 +428,33 @@ func (s *Service) solve(ctx context.Context, req SolveRequest, ri *reqInfo) (*So
 
 // runSolve executes one solver invocation. It runs on a pool worker with
 // the leader's request context; tr is the leader's request-scoped trace,
-// so the solver's events carry the leader's request ID.
-func (s *Service) runSolve(ctx context.Context, req SolveRequest, key string, tr *obs.Trace) (*SolveResult, error) {
+// so the solver's events carry the leader's request ID. The solver's own
+// SolveInfo comes back alongside the result, for the archive record.
+func (s *Service) runSolve(ctx context.Context, req SolveRequest, key string, tr *obs.Trace) (*SolveResult, *core.SolveInfo, error) {
 	s.solves.Add(1)
 	if s.solveHook != nil {
-		return s.solveHook(ctx, req)
+		res, err := s.solveHook(ctx, req)
+		return res, nil, err
 	}
 	start := time.Now()
 	sys, err := req.Instance.Build()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	d, info, err := solve.Run(ctx, sys, req.Solver, req.solveOptions(tr))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if d == nil {
 		if info != nil && info.Cancelled {
 			// Cancelled before any incumbent existed (e.g. during model
 			// build): surface the context's own error.
 			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
+				return nil, info, cerr
 			}
-			return nil, context.Canceled
+			return nil, info, context.Canceled
 		}
-		return nil, ErrNoSolution
+		return nil, info, ErrNoSolution
 	}
 	res := &SolveResult{
 		Solver:    req.Solver,
@@ -476,9 +470,9 @@ func (s *Service) runSolve(ctx context.Context, req SolveRequest, key string, tr
 		// raw decision vectors so the client sees how far the solve got.
 		res.Deployment = spec.FromDeployment(d, nil, info)
 	} else {
-		return nil, merr
+		return nil, info, merr
 	}
-	return res, nil
+	return res, info, nil
 }
 
 // effectiveTimeout resolves a request's solve budget against the
