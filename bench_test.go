@@ -1,7 +1,6 @@
 package nocdeploy_test
 
 import (
-	"io"
 	"testing"
 	"time"
 
@@ -11,88 +10,11 @@ import (
 	"nocdeploy/internal/lp"
 	"nocdeploy/internal/milp"
 	"nocdeploy/internal/nocsim"
-	"nocdeploy/internal/obs"
 	"nocdeploy/internal/sim"
 )
 
-// ---------------------------------------------------------------------
-// Figure reproductions: one benchmark per paper figure. Each iteration
-// regenerates the figure's table at reduced (Quick) scale; run
-// cmd/experiments without -quick for the full-fidelity tables.
-// ---------------------------------------------------------------------
-
-func benchFigure(b *testing.B, run func(exp.Config) (*exp.Table, error)) {
-	b.Helper()
-	cfg := exp.Config{Seed: 1, Quick: true, TimeLimit: 3 * time.Second}
-	for i := 0; i < b.N; i++ {
-		tbl, err := run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tbl.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-func BenchmarkFig2a(b *testing.B) { benchFigure(b, exp.RunFig2a) }
-func BenchmarkFig2b(b *testing.B) { benchFigure(b, exp.RunFig2b) }
-func BenchmarkFig2c(b *testing.B) { benchFigure(b, exp.RunFig2c) }
-func BenchmarkFig2d(b *testing.B) { benchFigure(b, exp.RunFig2d) }
-func BenchmarkFig2e(b *testing.B) { benchFigure(b, exp.RunFig2e) }
-func BenchmarkFig2f(b *testing.B) { benchFigure(b, exp.RunFig2f) }
-func BenchmarkFig2g(b *testing.B) { benchFigure(b, exp.RunFig2g) }
-func BenchmarkFig2h(b *testing.B) { benchFigure(b, exp.RunFig2h) }
-
-// benchFigSuite runs every figure runner back to back at a fixed,
-// MaxNodes-bounded configuration, so the serial and parallel variants do
-// byte-identical work and their ns/op ratio in BENCH_PR2.json is the
-// recorded wall-clock speedup of the experiment engine's fan-out. A nil
-// tr benchmarks the untraced path (every emission site reduced to one
-// nil check); a live tr measures the enabled-tracer overhead.
-func benchFigSuite(b *testing.B, parallel int, tr *obs.Trace) {
-	b.Helper()
-	cfg := exp.Config{Seed: 1, Quick: true, TimeLimit: time.Minute, MaxNodes: 50, Parallel: parallel, Trace: tr}
-	for i := 0; i < b.N; i++ {
-		for _, r := range exp.Runners() {
-			tbl, err := r.Run(cfg)
-			if err != nil {
-				b.Fatalf("figure %s: %v", r.Name, err)
-			}
-			if len(tbl.Rows) == 0 {
-				b.Fatalf("figure %s: empty table", r.Name)
-			}
-		}
-	}
-}
-
-// BenchmarkFigSuiteSerial is the Parallel=1 baseline for the speedup
-// record; compare against BenchmarkFigSuiteParallel. It is also the
-// nil-tracer baseline for BenchmarkFigSuiteSerialTraced: the delta
-// between the two is the full cost of observability, and must stay
-// within noise when tracing is off.
-func BenchmarkFigSuiteSerial(b *testing.B) { benchFigSuite(b, 1, nil) }
-
-// BenchmarkFigSuiteParallel fans instances out over all cores
-// (Parallel=0); its tables are byte-identical to the serial run's.
-func BenchmarkFigSuiteParallel(b *testing.B) { benchFigSuite(b, 0, nil) }
-
-// BenchmarkFigSuiteSerialTraced is BenchmarkFigSuiteSerial with a live
-// JSONL trace draining to io.Discard — the enabled-tracer overhead on
-// real solver workloads. See BenchmarkEmitNil in internal/obs for the
-// per-site disabled cost.
-func BenchmarkFigSuiteSerialTraced(b *testing.B) {
-	tr := obs.New(obs.NewJSONLSink(io.Discard))
-	benchFigSuite(b, 1, tr)
-	b.StopTimer()
-	if err := tr.Close(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// ---------------------------------------------------------------------
-// Component benchmarks.
-// ---------------------------------------------------------------------
+// Component benchmarks. The paper's figure suite is timed end to end by
+// perfbench's figures workload (BENCHMARK.json), not here.
 
 func paperScaleSystem(b *testing.B, m int) *nocdeploy.System {
 	b.Helper()
@@ -160,10 +82,9 @@ func BenchmarkOptimalM3(b *testing.B) {
 }
 
 // BenchmarkOptimal4x4 runs the node-budgeted exact sweep at the paper's
-// full 4×4 scale (internal/exp "ext-opt4x4"). The dense solver core could
-// not complete this inside any benchmark budget; it exists to keep the
-// paper-scale exact configuration inside the CI bench envelope now that
-// the sparse warm-started core has unlocked it.
+// full 4×4 scale (internal/exp "ext-opt4x4"). The figures workload runs
+// its exact solves on 2×2 meshes only, so this is the one benchmark of
+// node LPs at the 4×4, L = 6 size.
 func BenchmarkOptimal4x4(b *testing.B) {
 	// Node LPs at this scale run seconds each; a handful of nodes per
 	// instance keeps the three Quick reps near twenty seconds total.

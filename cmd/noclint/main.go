@@ -38,7 +38,6 @@ func main() {
 
 func run() int {
 	format := flag.String("format", "text", "output format: text, json or sarif")
-	jsonOut := flag.Bool("json", false, "shorthand for -format json (kept for compatibility)")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list the available analyzers and exit")
 	audit := flag.Bool("audit", false, "audit //lint:allow directives instead of running analyzers")
@@ -58,9 +57,6 @@ func run() int {
 			fmt.Printf("%-11s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *jsonOut && *format == "text" {
-		*format = "json"
 	}
 	switch *format {
 	case "text", "json", "sarif":

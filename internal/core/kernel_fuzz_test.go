@@ -41,7 +41,7 @@ func refScheduleOrder(s *System, d *Deployment) ([]int, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	layers, err := g.LayersErr()
+	layers, err := g.Layers()
 	if err != nil {
 		return nil, err
 	}

@@ -185,7 +185,7 @@ func Horizon(plat *platform.Platform, mesh *noc.Mesh, g *task.Graph, rel reliabi
 			w[i] += bytes * (tLo + tHi) / 2
 		}
 	}
-	crit, err := g.CriticalPathErr(func(i int) float64 { return w[i] })
+	crit, err := g.CriticalPath(func(i int) float64 { return w[i] })
 	if err != nil {
 		return 0, err
 	}

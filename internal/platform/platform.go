@@ -177,18 +177,6 @@ func (p *Platform) Epsilon() float64 {
 	return hi / lo
 }
 
-// MaxEnergyPerCycle returns the paper's e_k^comp parameter for a given
-// cycle budget: max_l (C/f_l)*P_l evaluated with C = cycles.
-func (p *Platform) MaxEnergyPerCycle() float64 {
-	hi := math.Inf(-1)
-	for l := range p.Levels {
-		if e := p.EnergyPerCycle(l); e > hi {
-			hi = e
-		}
-	}
-	return hi
-}
-
 // ScaledLevels returns a copy of the default level table whose voltages are
 // warped so the resulting ε index is approximately eps. It is used by the
 // Fig. 2(c) sweep. gamma > 1 stretches high-frequency voltages upward.

@@ -169,21 +169,8 @@ func (g *Graph) TopoOrder() ([]int, error) {
 
 // Layers partitions tasks into levels by longest path from any source: a
 // task's layer is 1 + max over predecessors. This is the in/out-degree
-// layering used by Algorithm 2. It panics on a cyclic graph; library code
-// that cannot guarantee a validated DAG must use LayersErr.
-func (g *Graph) Layers() [][]int {
-	layers, err := g.LayersErr()
-	if err != nil {
-		//lint:allow nopanic — convenience wrapper; LayersErr is the library path
-		panic("task: " + err.Error())
-	}
-	return layers
-}
-
-// LayersErr is the non-panicking variant of Layers: it reports the cycle
-// as an error instead of aborting, so long-running callers can refuse the
-// graph gracefully.
-func (g *Graph) LayersErr() ([][]int, error) {
+// layering used by Algorithm 2. A cyclic graph is reported as an error.
+func (g *Graph) Layers() ([][]int, error) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, fmt.Errorf("task: Layers on cyclic graph: %w", err)
@@ -210,18 +197,8 @@ func (g *Graph) LayersErr() ([][]int, error) {
 // CriticalPath returns the task ids of a path maximizing the summed node
 // weight, where weight(i) is supplied by the caller (e.g. average execution
 // plus communication time); this is the set C in the paper's horizon rule.
-// It panics on a cyclic graph; library code must use CriticalPathErr.
-func (g *Graph) CriticalPath(weight func(i int) float64) []int {
-	path, err := g.CriticalPathErr(weight)
-	if err != nil {
-		//lint:allow nopanic — convenience wrapper; CriticalPathErr is the library path
-		panic("task: " + err.Error())
-	}
-	return path
-}
-
-// CriticalPathErr is the non-panicking variant of CriticalPath.
-func (g *Graph) CriticalPathErr(weight func(i int) float64) ([]int, error) {
+// A cyclic graph is reported as an error.
+func (g *Graph) CriticalPath(weight func(i int) float64) ([]int, error) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, fmt.Errorf("task: CriticalPath on cyclic graph: %w", err)

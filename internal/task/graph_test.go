@@ -144,7 +144,10 @@ func TestLayersOfDiamond(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	layers := g.Layers()
+	layers, err := g.Layers()
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := [][]int{{0}, {1, 2}, {3}}
 	if !reflect.DeepEqual(layers, want) {
 		t.Errorf("layers = %v, want %v", layers, want)
@@ -165,7 +168,10 @@ func TestCriticalPathPicksHeavierBranch(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	got := g.CriticalPath(func(i int) float64 { return g.Tasks[i].WCEC })
+	got, err := g.CriticalPath(func(i int) float64 { return g.Tasks[i].WCEC })
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []int{0, 1, 3}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("critical path = %v, want %v", got, want)

@@ -34,7 +34,10 @@ func TestLayersProperty(t *testing.T) {
 		m := 2 + int(mRaw%15)
 		p := float64(pRaw%80) / 100
 		g := randomDAG(seed, m, p)
-		layers := g.Layers()
+		layers, err := g.Layers()
+		if err != nil {
+			t.Fatal(err)
+		}
 		level := make([]int, m)
 		for li, layer := range layers {
 			for _, v := range layer {
@@ -80,7 +83,10 @@ func TestCriticalPathProperty(t *testing.T) {
 		m := 2 + int(mRaw%12)
 		g := randomDAG(seed, m, 0.3)
 		weight := func(i int) float64 { return g.Tasks[i].WCEC }
-		path := g.CriticalPath(weight)
+		path, err := g.CriticalPath(weight)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(path) == 0 {
 			return false
 		}

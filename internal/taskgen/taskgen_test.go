@@ -80,7 +80,10 @@ func TestForkJoinShape(t *testing.T) {
 	if got := g.Sinks(); len(got) != 1 {
 		t.Errorf("fork-join sinks = %v", got)
 	}
-	layers := g.Layers()
+	layers, err := g.Layers()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(layers) != 3 {
 		t.Errorf("fork-join layers = %d, want 3", len(layers))
 	}
